@@ -78,6 +78,9 @@ let digest_chunks lines =
    the digests were generated under (fault-free default network). *)
 let golden_runs =
   [ ("lu", 4, fun () -> Shasta_apps.Lu.program ~n:16 ~bs:4 ());
+    (* same program at P=16: exercises the scheduler's node pick and
+       per-destination earliest arrival beyond a handful of nodes *)
+    ("lu16", 16, fun () -> Shasta_apps.Lu.program ~n:16 ~bs:4 ());
     ("fft", 4, fun () -> Shasta_apps.Fft.program ~n:64 ());
     ("radix", 4, fun () -> Shasta_apps.Radix.program ~nkeys:1024 ~max_bits:16 ());
     ( "sht",

@@ -94,6 +94,41 @@ let write_float t addr v = write_quad_bits t addr (Int64.bits_of_float v)
    three address bits, as on the Alpha). *)
 let read_quad_unaligned t addr = read_quad t (addr land lnot 7)
 
+(* Store byte [v] at every address in [addr, addr+len): whole pages
+   with one [Array.fill], whole longwords at the range edges with
+   [write_long_u], only sub-longword edge bytes with [write_byte].
+   Materializes exactly the pages a byte-by-byte loop would. *)
+let fill_bytes t ~addr ~len v =
+  let v = v land 0xFF in
+  let pat = v * 0x01010101 in
+  let stop = addr + len in
+  let a = ref addr in
+  while !a < stop && !a land 3 <> 0 do
+    write_byte t !a v;
+    incr a
+  done;
+  while !a + 4 <= stop && !a mod page_bytes <> 0 do
+    write_long_u t !a pat;
+    a := !a + 4
+  done;
+  while !a + page_bytes <= stop do
+    let pno = !a / page_bytes in
+    (match Hashtbl.find_opt t.pages pno with
+     | Some p -> Array.fill p 0 page_longs pat
+     | None ->
+       Hashtbl.add t.pages pno (Array.make page_longs pat);
+       t.allocated_pages <- t.allocated_pages + 1);
+    a := !a + page_bytes
+  done;
+  while !a + 4 <= stop do
+    write_long_u t !a pat;
+    a := !a + 4
+  done;
+  while !a < stop do
+    write_byte t !a v;
+    incr a
+  done
+
 (* Copy every allocated page of [src] overlapping [addr, addr+len) into
    [dst] (page-aligned range).  Used for process-creation-time copying
    of the static data area. *)

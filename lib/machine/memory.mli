@@ -53,6 +53,12 @@ val write_float : t -> int -> float -> unit
 
 (** {1 Bulk operations} *)
 
+val fill_bytes : t -> addr:int -> len:int -> int -> unit
+(** [fill_bytes m ~addr ~len v] stores byte [v] at every address in
+    [\[addr, addr+len)] — page-at-a-time where the range covers whole
+    pages.  The memory image and the set of materialized pages equal
+    those of a [write_byte] loop over the range. *)
+
 val copy_pages : src:t -> dst:t -> addr:int -> len:int -> unit
 (** Copy every materialized page of [src] overlapping the range into
     [dst]; used for process-creation-time copying of the static area. *)

@@ -334,6 +334,15 @@ type 'a t = {
   chans : 'a queued Queue.t array;
   mutable last_deliver : int array; (* per channel, for FIFO ordering *)
   mutable seq : int;
+  (* [earliest.(dst)] is the smallest delivery time among the heads of
+     the P channels into [dst] ([max_int]: nothing queued).  Delivery
+     times are monotone per channel, so a channel's head is its
+     earliest frame and the minimum over heads is the minimum over
+     everything queued to [dst].  A push can only lower it (and does so
+     only when it lands in an empty channel); a pop recomputes it over
+     the P heads.  A query is O(1); each message costs O(P) once. *)
+  earliest : int array;
+  mutable in_flight : int; (* frames queued on all channels *)
   mutable sent : int;
   mutable payload_longs : int;
   (* unreliable wire + reliable sublayer (None = the paper's perfect
@@ -374,7 +383,8 @@ let create ?faults ~nprocs profile =
   { profile; nprocs;
     chans = Array.init nchan (fun _ -> Queue.create ());
     last_deliver = Array.make nchan 0;
-    seq = 0; sent = 0; payload_longs = 0;
+    seq = 0; earliest = Array.make nprocs max_int; in_flight = 0;
+    sent = 0; payload_longs = 0;
     faults;
     rngs =
       Array.init nchan (fun c ->
@@ -393,6 +403,25 @@ let set_taps t ~on_send ~on_recv =
 let set_fault_tap t ~on_fault = t.on_fault <- on_fault
 
 let chan t ~src ~dst = (src * t.nprocs) + dst
+
+(* Queue a frame on channel [src -> dst], keeping [earliest] and
+   [in_flight] current.  Callers guarantee [deliver] is no earlier
+   than anything already queued on the channel. *)
+let push t ~src ~dst ~deliver msg =
+  t.seq <- t.seq + 1;
+  Queue.push { deliver; seq = t.seq; msg } t.chans.(chan t ~src ~dst);
+  if deliver < t.earliest.(dst) then t.earliest.(dst) <- deliver;
+  t.in_flight <- t.in_flight + 1
+
+(* Recompute [earliest.(dst)] from the P channel heads. *)
+let refresh_earliest t ~dst =
+  let best = ref max_int in
+  for src = 0 to t.nprocs - 1 do
+    match Queue.peek_opt t.chans.(chan t ~src ~dst) with
+    | Some q -> if q.deliver < !best then best := q.deliver
+    | None -> ()
+  done;
+  t.earliest.(dst) <- !best
 
 let effective_rto t =
   match t.faults with
@@ -429,8 +458,7 @@ let send t ~src ~dst ~now ~payload_longs msg =
           before a previously sent message on the same channel *)
        let deliver = max (now + p.send_overhead + flight) t.last_deliver.(c) in
        t.last_deliver.(c) <- deliver;
-       t.seq <- t.seq + 1;
-       Queue.push { deliver; seq = t.seq; msg } t.chans.(c)
+       push t ~src ~dst ~deliver msg
      | Some f ->
        (* unreliable wire under the reliable sublayer: plan the frame's
           transmission (drops retransmitted with backoff, optional extra
@@ -467,8 +495,7 @@ let send t ~src ~dst ~now ~payload_longs msg =
            with
            | [ (deliver, ()) ] ->
              t.last_deliver.(c) <- deliver;
-             t.seq <- t.seq + 1;
-             Queue.push { deliver; seq = t.seq; msg } t.chans.(c)
+             push t ~src ~dst ~deliver msg
            | _ -> assert false));
        (* duplicated copies reach the receiver and are discarded there *)
        let dups = match dup_arrival with Some _ -> 1 | None -> 0 in
@@ -501,44 +528,36 @@ let multicast t ~src ~now ~payload_longs pairs =
       send t ~src ~dst ~now ~payload_longs:(payload_longs msg) msg)
     now pairs
 
-(* Earliest arrival time of any message destined for [dst], if any. *)
-let next_arrival t ~dst =
-  let best = ref max_int in
-  for src = 0 to t.nprocs - 1 do
-    match Queue.peek_opt t.chans.(chan t ~src ~dst) with
-    | Some q -> if q.deliver < !best then best := q.deliver
-    | None -> ()
-  done;
-  if !best = max_int then None else Some !best
+(* Earliest arrival time of any message destined for [dst]; [max_int]
+   when nothing is queued. *)
+let next_arrival t ~dst = t.earliest.(dst)
 
 (* Pop the earliest message for [dst] with arrival <= [now].  Ties are
    broken by global send order, keeping the simulation deterministic. *)
 let recv t ~dst ~now =
-  let best = ref None in
-  for src = 0 to t.nprocs - 1 do
-    match Queue.peek_opt t.chans.(chan t ~src ~dst) with
-    | Some q when q.deliver <= now ->
-      (match !best with
-       | Some (_, bq) when (bq.deliver, bq.seq) <= (q.deliver, q.seq) -> ()
-       | _ -> best := Some (src, q))
-    | _ -> ()
-  done;
-  match !best with
-  | Some (src, q) ->
-    ignore (Queue.pop t.chans.(chan t ~src ~dst));
-    t.on_recv ~src ~dst ~now:q.deliver q.msg;
-    Some (q.deliver, q.msg)
-  | None -> None
+  let e = t.earliest.(dst) in
+  if e = max_int || e > now then None
+  else begin
+    let best = ref None in
+    for src = 0 to t.nprocs - 1 do
+      match Queue.peek_opt t.chans.(chan t ~src ~dst) with
+      | Some q when q.deliver <= now ->
+        (match !best with
+         | Some (_, bq) when (bq.deliver, bq.seq) <= (q.deliver, q.seq) -> ()
+         | _ -> best := Some (src, q))
+      | _ -> ()
+    done;
+    match !best with
+    | Some (src, q) ->
+      ignore (Queue.pop t.chans.(chan t ~src ~dst));
+      t.in_flight <- t.in_flight - 1;
+      refresh_earliest t ~dst;
+      t.on_recv ~src ~dst ~now:q.deliver q.msg;
+      Some (q.deliver, q.msg)
+    | None -> assert false (* some head is due: [e] <= [now] *)
+  end
 
-let pending_for t ~dst =
-  let n = ref 0 in
-  for src = 0 to t.nprocs - 1 do
-    n := !n + Queue.length t.chans.(chan t ~src ~dst)
-  done;
-  !n
-
-let in_flight t =
-  Array.fold_left (fun a q -> a + Queue.length q) 0 t.chans
+let in_flight t = t.in_flight
 
 let stats t = (t.sent, t.payload_longs)
 
@@ -569,6 +588,7 @@ let mark_dead t ~node =
         Queue.iter
           (fun (q : _ queued) -> lost := (q.seq, src, dst, q.msg) :: !lost)
           t.chans.(c);
+        t.in_flight <- t.in_flight - Queue.length t.chans.(c);
         Queue.clear t.chans.(c);
         t.rxs.(c) <- Sublayer.rx_create ();
         t.wire_last.(c) <- 0;
@@ -576,5 +596,20 @@ let mark_dead t ~node =
       (if other = node then [ (node, node) ]
        else [ (node, other); (other, node) ])
   done;
+  for dst = 0 to t.nprocs - 1 do
+    refresh_earliest t ~dst
+  done;
   List.map (fun (_, src, dst, msg) -> (src, dst, msg))
     (List.sort compare !lost)
+
+(* ------------------------------------------------------------------ *)
+(* Test-only inspection                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Debug = struct
+  let channel_deliveries t ~src ~dst =
+    Queue.fold
+      (fun acc (q : _ queued) -> q.deliver :: acc)
+      [] t.chans.(chan t ~src ~dst)
+    |> List.rev
+end

@@ -200,12 +200,17 @@ val multicast :
     invalidation path uses this so the fan-out width is observable in
     one place. *)
 
-val next_arrival : 'a t -> dst:int -> int option
+val next_arrival : 'a t -> dst:int -> int
+(** Earliest delivery time of any message queued for [dst]; [max_int]
+    when none is.  O(1): maintained on every send, receive and
+    {!mark_dead}. *)
+
 val recv : 'a t -> dst:int -> now:int -> (int * 'a) option
 (** Earliest already-arrived message for [dst], with its arrival time. *)
 
-val pending_for : 'a t -> dst:int -> int
 val in_flight : 'a t -> int
+(** Frames queued on all channels.  O(1). *)
+
 val stats : 'a t -> int * int
 (** (messages sent, payload longwords) since creation. *)
 
@@ -230,3 +235,12 @@ val mark_dead : 'a t -> node:int -> (int * int * 'a) list
 
 val mark_live : 'a t -> node:int -> unit
 (** Clear the dead bit set by {!mark_dead} (node recovery). *)
+
+(** {2 Test-only inspection} *)
+
+module Debug : sig
+  val channel_deliveries : 'a t -> src:int -> dst:int -> int list
+  (** Delivery times of the frames queued on channel [src -> dst], head
+      first — the brute-force reference against which tests check
+      {!next_arrival} and {!in_flight}.  Not for use by the simulator. *)
+end

@@ -3,7 +3,7 @@
    Everything else in the registry measures the *simulated* machine;
    this module measures the simulator itself: monotonic wall time
    (bechamel's clock — immune to NTP steps), a per-phase breakdown
-   (compile / load / run / drain), and OCaml GC deltas over the
+   (compile / setup / load / run / drain), and OCaml GC deltas over the
    measured region.  A [t] is an accumulator: [phase] times a closure
    and charges it to a named bucket, [report] closes the measurement
    and snapshots the GC.  The clock is injectable so tests can drive

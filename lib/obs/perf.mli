@@ -1,5 +1,5 @@
 (** Host-side performance counters: monotonic wall time, per-phase
-    breakdown (compile / load / run / drain), and GC deltas over the
+    breakdown (compile / setup / load / run / drain), and GC deltas over the
     measured region — the simulator measuring itself rather than the
     simulated machine. *)
 

@@ -57,7 +57,8 @@ type result = {
   state : State.t; (* post-run cluster state (registry, network, protocol view) *)
 }
 
-let prepare spec =
+(* MiniC compile + instrumentation: the executable to run. *)
+let compile spec =
   let compiled = Compile.compile spec.prog in
   let program, inst_stats =
     match spec.opts with
@@ -70,6 +71,10 @@ let prepare spec =
           "Api.prepare: uninstrumented executables only run on one node";
       (compiled.program, None)
   in
+  ({ compiled with program }, inst_stats)
+
+(* Cluster construction for a compiled executable. *)
+let setup spec (compiled : Compile.compiled) =
   let line_shift =
     match spec.opts with Some o -> o.line_shift | None -> 6
   in
@@ -84,10 +89,11 @@ let prepare spec =
       ~placement:spec.placement ~scalable_sync:spec.scalable_sync
       ~migrate:spec.migrate ()
   in
-  let state =
-    Cluster.create ~config ~compiled:{ compiled with program } ()
-  in
-  (state, inst_stats, program)
+  Cluster.create ~config ~compiled ()
+
+let prepare spec =
+  let compiled, inst_stats = compile spec in
+  (setup spec compiled, inst_stats, compiled.program)
 
 let run ?(init_proc = "appinit") ?(work_proc = "work") spec =
   let state, inst_stats, program = prepare spec in
@@ -149,16 +155,20 @@ let run_profiled ?(init_proc = "appinit") ?(work_proc = "work") spec =
   (run ~init_proc ~work_proc real, placement)
 
 (* [run] under host-side measurement: the whole pipeline inside one
-   {!Shasta_obs.Perf} accumulator — "compile" covers MiniC compilation,
-   instrumentation and cluster construction, "load"/"run"/"drain" are
-   charged by [Cluster.run_app].  The report is folded into the result
-   state's metrics registry (node-0 [perf.*] counters) and returned for
-   BENCH emission. *)
+   {!Shasta_obs.Perf} accumulator — "compile" covers MiniC compilation
+   and instrumentation, "setup" cluster construction, and "load"/"run"/
+   "drain" are charged by [Cluster.run_app].  The report is folded into
+   the result state's metrics registry (node-0 [perf.*] counters) and
+   returned for BENCH emission. *)
 let run_measured ?(init_proc = "appinit") ?(work_proc = "work") ?clock spec =
   let perf = Shasta_obs.Perf.create ?clock () in
-  let state, inst_stats, program =
-    Shasta_obs.Perf.phase perf "compile" (fun () -> prepare spec)
+  let compiled, inst_stats =
+    Shasta_obs.Perf.phase perf "compile" (fun () -> compile spec)
   in
+  let state =
+    Shasta_obs.Perf.phase perf "setup" (fun () -> setup spec compiled)
+  in
+  let program = compiled.program in
   let phase = Cluster.run_app ~init_proc ~work_proc ~perf state in
   let report = Shasta_obs.Perf.report perf in
   Shasta_obs.Perf.publish (Shasta_obs.Obs.metrics (State.obs state)) report;

@@ -99,7 +99,8 @@ val run_measured :
   spec ->
   result * Shasta_obs.Perf.report
 (** [run] wrapped in a {!Shasta_obs.Perf} measurement: host wall time
-    broken into compile / load / run / drain phases plus GC deltas.
+    broken into compile (MiniC compile + instrument) / setup
+    ([Cluster.create]) / load / run / drain phases plus GC deltas.
     The report is also folded into the result state's metrics registry
     as node-0 [perf.*] counters.  [clock] is injectable for tests. *)
 

@@ -10,7 +10,17 @@
    entity with the smallest next-event time advances.  Running nodes
    execute instructions (yielding at runtime interactions); waiting or
    finished nodes advance by receiving messages.  Finished nodes keep
-   serving protocol requests — they may still own blocks. *)
+   serving protocol requests — they may still own blocks.
+
+   Each event costs O(P): a linear scan over the nodes, each an O(1)
+   read.  A running node's next event is its own clock; a waiting or
+   finished node's is [Network.next_arrival], which the network keeps
+   current per destination (the minimum over the P source-channel
+   heads, exact because per-channel delivery times are monotone) so
+   the scan never looks at queues.  Ties in the pick go to the lowest
+   node id — the scan only replaces its choice on a strictly earlier
+   time — which is what makes runs deterministic and traces
+   byte-identical across scheduler changes. *)
 
 open Shasta_machine
 module Obs = Shasta_obs.Obs
@@ -43,6 +53,14 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
     | Some a -> a
     | None -> -1
   in
+  let tcfg =
+    { Shasta_protocol.Transitions.nprocs = config.nprocs;
+      page_bytes = State.page_bytes;
+      sc = (config.consistency = State.Sequential);
+      dmode = config.dir_mode;
+      scalable_sync = config.scalable_sync;
+      migrate = config.migrate }
+  in
   let state =
     { State.config; image; nodes;
       net = Shasta_network.Network.create ?faults:config.net_faults
@@ -50,21 +68,8 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
       gran =
         Shasta_protocol.Granularity.create ~line_bytes:(1 lsl config.line_shift)
           ~threshold:config.granularity_threshold ();
-      tcfg =
-        { Shasta_protocol.Transitions.nprocs = config.nprocs;
-          page_bytes = State.page_bytes;
-          sc = (config.consistency = State.Sequential);
-          dmode = config.dir_mode;
-          scalable_sync = config.scalable_sync;
-          migrate = config.migrate };
-      proto =
-        Shasta_protocol.Transitions.init
-          { Shasta_protocol.Transitions.nprocs = config.nprocs;
-            page_bytes = State.page_bytes;
-            sc = (config.consistency = State.Sequential);
-            dmode = config.dir_mode;
-            scalable_sync = config.scalable_sync;
-            migrate = config.migrate };
+      tcfg;
+      proto = Shasta_protocol.Transitions.init tcfg;
       shared_next_page = State.shared_heap_start;
       pools = Hashtbl.create 8;
       output = Buffer.create 256;
@@ -173,11 +178,8 @@ let next_event_time (state : State.t) (node : Node.t) =
   | Node.Running -> Node.time node
   | Node.Crashed -> max_int (* never runs, never delivers *)
   | Node.Waiting _ | Node.Finished ->
-    (match
-       Shasta_network.Network.next_arrival state.net ~dst:node.id
-     with
-     | Some t -> max t (Node.time node)
-     | None -> max_int)
+    let t = Shasta_network.Network.next_arrival state.net ~dst:node.id in
+    if t = max_int then max_int else max t (Node.time node)
 
 exception Deadlock of string
 

@@ -85,6 +85,37 @@ let t_copy_pages () =
   Alcotest.(check int) "outside range untouched" 0
     (Memory.read_quad dst 0x40000)
 
+(* [fill_bytes] against a [write_byte] loop on a separate memory, over
+   ranges that start and end at every longword offset around page
+   boundaries, on top of pre-existing data. *)
+let t_fill_bytes () =
+  let pb = Memory.page_bytes in
+  let ranges =
+    [ (0, pb); (pb, 3 * pb); (pb - 3, 7); (pb - 2, pb + 5); (5, 2);
+      (6, 1); ((2 * pb) + 4, 4); (pb + 1, (2 * pb) - 2); (17, 0) ]
+  in
+  List.iter
+    (fun (addr, len) ->
+      let fast = Memory.create () and slow = Memory.create () in
+      List.iter
+        (fun m ->
+          Memory.write_long_u m (pb + 4) 0xDEADBEEF;
+          Memory.write_long_u m ((addr land lnot 3) + 0) 0x01020304)
+        [ fast; slow ];
+      Memory.fill_bytes fast ~addr ~len 0xA5;
+      for a = addr to addr + len - 1 do
+        Memory.write_byte slow a 0xA5
+      done;
+      let what = Printf.sprintf "fill 0x%x+%d" addr len in
+      Alcotest.(check int) (what ^ ": pages")
+        (Memory.allocated_bytes slow) (Memory.allocated_bytes fast);
+      for k = 0 to (4 * pb / 4) - 1 do
+        Alcotest.(check int) what
+          (Memory.read_long_u slow (4 * k))
+          (Memory.read_long_u fast (4 * k))
+      done)
+    ranges
+
 let t_blit () =
   let m = Memory.create () in
   Memory.blit_in m ~addr:0x8000 [| 1; 2; 3; 4 |];
@@ -130,6 +161,7 @@ let () =
           Alcotest.test_case "alignment" `Quick t_unaligned_rejected;
           Alcotest.test_case "ldq_u" `Quick t_ldq_u_alignment;
           Alcotest.test_case "copy pages" `Quick t_copy_pages;
+          Alcotest.test_case "fill bytes" `Quick t_fill_bytes;
           Alcotest.test_case "blit" `Quick t_blit ] );
       ( "cache",
         [ Alcotest.test_case "basics" `Quick t_cache_basics;

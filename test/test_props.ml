@@ -128,6 +128,68 @@ let prop_network_fifo payloads =
   in
   drain [] = List.mapi (fun k _ -> k) payloads
 
+(* --- network earliest-arrival / in-flight bookkeeping ---------------- *)
+
+(* Random send / recv / crash / recovery sequences over a P-node wire.
+   After every operation, the O(1) [next_arrival] and [in_flight] must
+   equal a brute-force scan of the queued frames: the minimum over the
+   P source-channel heads for every destination, and the summed queue
+   lengths.  Each channel must stay sorted by delivery time — the
+   monotonicity the head-minimum relies on. *)
+type net_op =
+  | Send of int * int * int * int (* src, dst, time step, payload *)
+  | Recv of int * int (* dst, time step *)
+  | Dead of int
+  | Live of int
+
+let net_ops_gen =
+  let open Gen in
+  let* nprocs = int_range 2 6 in
+  let node = int_bound (nprocs - 1) in
+  let op =
+    frequency
+      [ ( 6,
+          map (fun (s, d, dt, p) -> Send (s, d, dt, p))
+            (quad node node (int_range (-50) 400) (int_bound 16)) );
+        (4, map2 (fun d dt -> Recv (d, dt)) node (int_range (-50) 2000));
+        (1, map (fun n -> Dead n) node);
+        (1, map (fun n -> Live n) node) ]
+  in
+  let+ ops = list_size (int_range 1 150) op in
+  (nprocs, ops)
+
+let prop_network_bookkeeping faults (nprocs, ops) =
+  let module N = Shasta_network.Network in
+  let net = N.create ?faults ~nprocs N.memory_channel in
+  let now = ref 0 in
+  let consistent () =
+    let total = ref 0 in
+    let ok = ref true in
+    for dst = 0 to nprocs - 1 do
+      let best = ref max_int in
+      for src = 0 to nprocs - 1 do
+        let ds = N.Debug.channel_deliveries net ~src ~dst in
+        total := !total + List.length ds;
+        if ds <> List.sort compare ds then ok := false;
+        List.iter (fun d -> best := min !best d) ds
+      done;
+      if N.next_arrival net ~dst <> !best then ok := false
+    done;
+    !ok && N.in_flight net = !total
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+       | Send (src, dst, dt, payload_longs) ->
+         now := max 0 (!now + dt);
+         ignore (N.send net ~src ~dst ~now:!now ~payload_longs ())
+       | Recv (dst, dt) ->
+         ignore (N.recv net ~dst ~now:(max 0 (!now + dt)))
+       | Dead node -> ignore (N.mark_dead net ~node)
+       | Live node -> N.mark_live net ~node);
+      consistent ())
+    ops
+
 (* --- randomized data-race-free parallel programs --------------------- *)
 
 (* Each round: every processor writes a random value into each of its
@@ -257,7 +319,19 @@ let () =
       ( "network",
         [ qtest "fifo order" ~count:100
             Gen.(list_size (int_range 1 30) (int_bound 200))
-            prop_network_fifo ] );
+            prop_network_fifo;
+          qtest "earliest arrival and in-flight match a scan (reliable)"
+            ~count:200 net_ops_gen (prop_network_bookkeeping None);
+          qtest "earliest arrival and in-flight match a scan (standard faults)"
+            ~count:200 net_ops_gen
+            (prop_network_bookkeeping
+               (Some Shasta_network.Network.standard));
+          qtest "earliest arrival and in-flight match a scan (bounded retx)"
+            ~count:200 net_ops_gen
+            (prop_network_bookkeeping
+               (Some
+                  { Shasta_network.Network.standard with
+                    drop = 0.3; max_retx = 2 })) ] );
       ( "coherence",
         [ qtest "random DRF programs match the model" ~count:40 rw_gen
             prop_drf_program;

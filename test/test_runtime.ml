@@ -291,6 +291,61 @@ let t_atm_slower_than_mc () =
   Alcotest.(check bool) "higher latency, longer run" true
     (ra.phase.wall_cycles > rm.phase.wall_cycles)
 
+(* Private exclusive marking fills the exclusive table a page at a
+   time; it must leave exactly the memory image, and exactly the set of
+   materialized pages, that setting each table byte to 0xFF does. *)
+let t_mark_private_exclusive () =
+  let module M = Shasta_machine.Memory in
+  let pipe_config = Shasta_machine.Pipeline.alpha_21064a in
+  let reference mem ~ls ~addr ~len =
+    let lb = 1 lsl ls in
+    for b = addr / lb / 8 to (addr + len - 1) / lb / 8 do
+      M.write_byte mem b 0xFF
+    done
+  in
+  let priv = Shasta.Layout.static_limit + 0x0800_0000 in
+  let cases =
+    [ ("static area", 6, Shasta.Layout.static_base,
+       Shasta.Layout.static_limit - Shasta.Layout.static_base);
+      ("stack", 6, Shasta.Layout.stack_limit,
+       Shasta.Layout.stack_top - Shasta.Layout.stack_limit);
+      ("page-aligned, 128-byte lines", 7, 0x0400_0000, 0x0040_0000);
+      ("page-straddling", 6, ((3 * 8192) - 100) * 512 + 40, 300 * 512);
+      ("sub-longword", 6, (5 * 512) + 17, 600);
+      ("single line", 6, 0x0900_0040, 1);
+      ("single line, 32-byte lines", 5, 0x0900_0020, 8);
+      ("p_malloc 24 B", 6, priv, 24);
+      ("p_malloc 4 KB", 6, priv + 64, 4096);
+      ("p_malloc 100 KB", 6, priv + 4224, 100_000);
+      ("p_malloc 3 MB", 6, priv + 0x0010_0000, 0x0030_0000) ]
+  in
+  List.iter
+    (fun (name, ls, addr, len) ->
+      let fast = Node.create ~id:0 ~pipe_config in
+      let slow = Node.create ~id:0 ~pipe_config in
+      (* pre-existing contents at both table-range edges must survive
+         outside the range, and be overwritten inside it *)
+      let first = addr / (1 lsl ls) / 8
+      and last = (addr + len - 1) / (1 lsl ls) / 8 in
+      List.iter
+        (fun a ->
+          let a = a land lnot 3 in
+          M.write_long_u fast.mem a 0x12345678;
+          M.write_long_u slow.mem a 0x12345678)
+        [ first; last ];
+      Tables.mark_private_exclusive fast ~ls ~addr ~len;
+      reference slow.mem ~ls ~addr ~len;
+      Alcotest.(check int) (name ^ ": allocated bytes")
+        (M.allocated_bytes slow.mem) (M.allocated_bytes fast.mem);
+      let pb = M.page_bytes in
+      for a = first / pb * pb / 4 to ((last / pb) + 1) * pb / 4 - 1 do
+        let a = a * 4 in
+        if M.read_long_u fast.mem a <> M.read_long_u slow.mem a then
+          Alcotest.failf "%s: longword 0x%x differs: 0x%x vs 0x%x" name a
+            (M.read_long_u fast.mem a) (M.read_long_u slow.mem a)
+      done)
+    cases
+
 let () =
   Alcotest.run "runtime"
     [ ( "sharing",
@@ -315,5 +370,8 @@ let () =
             t_sequential_consistency_slower ] );
       ( "networks",
         [ Alcotest.test_case "atm correctness" `Quick t_atm_network_also_correct;
-          Alcotest.test_case "atm slower" `Quick t_atm_slower_than_mc ] )
+          Alcotest.test_case "atm slower" `Quick t_atm_slower_than_mc ] );
+      ( "tables",
+        [ Alcotest.test_case "private exclusive fill matches byte loop" `Quick
+            t_mark_private_exclusive ] )
     ]

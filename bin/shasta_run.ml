@@ -97,6 +97,7 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
   in
   let crash = if crash > 0 then Some crash else None in
   let recover = match recover with 0 -> None | r -> Some r in
+  let t0 = Shasta_obs.Perf.monotonic_clock () in
   let results =
     if fuzz_only then []
     else
@@ -106,6 +107,7 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
             stdout sc)
         (scenario_set ~nprocs:np)
   in
+  let check_s = Shasta_obs.Perf.monotonic_clock () -. t0 in
   let states = List.fold_left (fun a (r : Mcheck.result) -> a + r.states) 0 results in
   let transitions =
     List.fold_left (fun a (r : Mcheck.result) -> a + r.transitions) 0 results
@@ -115,6 +117,8 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
   in
   Printf.printf "total: %d states, %d transitions, %d scenario(s), %d violation(s)\n"
     states transitions (List.length results) (List.length violations);
+  Printf.printf "check host: %.3f s, %.0f states/s\n" check_s
+    (if check_s > 0. then float_of_int states /. check_s else 0.);
   (* seeded random-walk fuzzing on top of the exhaustive pass *)
   let fuzz_violations = ref 0 in
   if fuzz_runs > 0 then begin

@@ -10,11 +10,14 @@
    node may issue its next scripted operation, and the head of any
    non-empty (src, dst) channel may be delivered (the network never
    reorders a pair, so per-pair FIFOs are exact).  A DFS over the move
-   graph with a visited set keyed on canonical state strings checks, at
-   every state, the core's structural invariants, invalidation-ack
-   conservation against the in-flight messages, and flag/value
-   coherence of the shadow memory; terminal states must be quiescent
-   (no waiting node, no unissued script, oracle satisfied).
+   graph checks, at every state, the core's structural invariants,
+   invalidation-ack conservation against the in-flight messages, and
+   flag/value coherence of the shadow memory; terminal states must be
+   quiescent (no waiting node, no unissued script, oracle satisfied).
+   The visited set is keyed on an exact binary encoding of the closed
+   system (see [Key]), and move labels stay unrendered text thunks
+   until a counterexample needs them: the search never formats a
+   string on its hot path.
 
    A fault can be injected at the routing layer (drop the first
    invalidation acknowledgement); the checker then demonstrates the
@@ -513,8 +516,9 @@ let lossy_moves cfg ~inj (sys : sys) key (cs : chanst) =
   let delivers =
     match cs.wire with
     | f :: _ ->
-      [ ( Printf.sprintf "deliver %s: #%d %s" (chan_label key) f.fseq
-            (Message.describe f.fmsg),
+      [ ( lazy
+            (Printf.sprintf "deliver %s: #%d %s" (chan_label key) f.fseq
+               (Message.describe f.fmsg)),
           fun () -> lossy_deliver cfg ~inj sys key ) ]
     | [] -> []
   in
@@ -524,26 +528,30 @@ let lossy_moves cfg ~inj (sys : sys) key (cs : chanst) =
       let spend cs' = upd { cs' with budget = cs.budget - 1 } in
       (match cs.wire with
        | f :: rest ->
-         [ ( Printf.sprintf "fault %s: drop #%d %s" (chan_label key) f.fseq
-               (Message.describe f.fmsg),
+         [ ( lazy
+               (Printf.sprintf "fault %s: drop #%d %s" (chan_label key)
+                  f.fseq (Message.describe f.fmsg)),
              fun () -> spend { cs with wire = rest } );
-           ( Printf.sprintf "fault %s: dup #%d %s" (chan_label key) f.fseq
-               (Message.describe f.fmsg),
+           ( lazy
+               (Printf.sprintf "fault %s: dup #%d %s" (chan_label key) f.fseq
+                  (Message.describe f.fmsg)),
              fun () -> spend { cs with wire = (f :: rest) @ [ f ] } ) ]
        | [] -> [])
       @
       (match cs.wire with
        | f1 :: f2 :: rest when f1.fseq <> f2.fseq ->
-         [ ( Printf.sprintf "fault %s: reorder #%d behind #%d"
-               (chan_label key) f1.fseq f2.fseq,
+         [ ( lazy
+               (Printf.sprintf "fault %s: reorder #%d behind #%d"
+                  (chan_label key) f1.fseq f2.fseq),
              fun () -> spend { cs with wire = f2 :: f1 :: rest } ) ]
        | _ -> [])
   in
   let retransmits =
     match lost_frames cs with
     | f :: _ ->
-      [ ( Printf.sprintf "retransmit %s: #%d %s" (chan_label key) f.fseq
-            (Message.describe f.fmsg),
+      [ ( lazy
+            (Printf.sprintf "retransmit %s: #%d %s" (chan_label key) f.fseq
+               (Message.describe f.fmsg)),
           fun () -> upd { cs with wire = cs.wire @ [ f ] } ) ]
     | [] -> []
   in
@@ -601,7 +609,7 @@ let crash_moves cfg ~inj (sys : sys) =
       else
         List.map
           (fun v ->
-            ( Printf.sprintf "crash n%d" v,
+            ( lazy (Printf.sprintf "crash n%d" v),
               fun () -> crash_node cfg ~inj sys v ))
           live
   in
@@ -613,7 +621,7 @@ let crash_moves cfg ~inj (sys : sys) =
           if T.is_live sys.v ~node:v then None
           else
             Some
-              ( Printf.sprintf "recover n%d" v,
+              ( lazy (Printf.sprintf "recover n%d" v),
                 fun () ->
                   run_step cfg ~inj
                     { sys with recover_budget = sys.recover_budget - 1 }
@@ -631,8 +639,9 @@ let stash_moves cfg ~inj (sys : sys) =
   | Some (node, b, value)
     when T.is_live sys.v ~node && running sys ~node
          && T.locks_held_by sys.v ~node = [] ->
-    [ ( Printf.sprintf "n%d: deferred store 0x%x <- %d fires (injected)" node
-          b value,
+    [ ( lazy
+          (Printf.sprintf "n%d: deferred store 0x%x <- %d fires (injected)"
+             node b value),
         fun () ->
           let sys = { sys with stash = None } in
           let st = T.line_state sys.v ~node ~block:b in
@@ -649,13 +658,15 @@ let stash_moves cfg ~inj (sys : sys) =
                    stored = [ (b, value) ] }) ) ]
   | _ -> []
 
-let moves cfg ~inj (sys : sys) =
+(* Every enabled move, its label an unforced thunk: the search forces
+   labels only to print a counterexample trace. *)
+let lazy_moves cfg ~inj (sys : sys) =
   let issues =
     Imap.fold
       (fun node script acc ->
         match script with
         | op :: rest when running sys ~node ->
-          ( Printf.sprintf "n%d: %s" node (string_of_op op),
+          ( lazy (Printf.sprintf "n%d: %s" node (string_of_op op)),
             fun () -> issue cfg ~inj sys node op rest )
           :: acc
         | _ -> acc)
@@ -666,8 +677,9 @@ let moves cfg ~inj (sys : sys) =
       (fun key q acc ->
         match q with
         | msg :: _ when T.is_live sys.v ~node:(key mod 1024) ->
-          ( Printf.sprintf "deliver %d->%d: %s" (key / 1024) (key mod 1024)
-              (Message.describe msg),
+          ( lazy
+              (Printf.sprintf "deliver %d->%d: %s" (key / 1024)
+                 (key mod 1024) (Message.describe msg)),
             fun () -> deliver cfg ~inj sys key )
           :: acc
         | _ -> acc)
@@ -683,72 +695,67 @@ let moves cfg ~inj (sys : sys) =
   @ stash_moves cfg ~inj sys
   @ crash_moves cfg ~inj sys
 
+let moves cfg ~inj sys =
+  List.map (fun (label, next) -> (Lazy.force label, next))
+    (lazy_moves cfg ~inj sys)
+
 (* ------------------------------------------------------------------ *)
 (* Checks                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical key for the visited set: the view's canonical string plus
-   everything else the closed system carries. *)
-let canon_sys (sys : sys) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (T.canon sys.v);
-  Imap.iter
-    (fun key q ->
-      Buffer.add_string b (Printf.sprintf "|c%d:" key);
-      List.iter (fun m -> Buffer.add_string b (Message.describe m)) q)
-    sys.chans;
-  Imap.iter
-    (fun n s -> Buffer.add_string b (Printf.sprintf "|s%d:%d" n (List.length s)))
-    sys.scripts;
-  Imap.iter
-    (fun n m ->
-      Buffer.add_string b (Printf.sprintf "|m%d:" n);
-      Imap.iter (fun blk v -> Buffer.add_string b (Printf.sprintf "%x=%d," blk v)) m)
-    sys.shadow;
-  Imap.iter (fun n v -> Buffer.add_string b (Printf.sprintf "|r%d:%d" n v)) sys.regs;
-  Imap.iter
-    (fun n blk -> Buffer.add_string b (Printf.sprintf "|p%d:%x" n blk))
-    sys.pending_read;
-  if sys.dropped then Buffer.add_string b "|D";
-  (match sys.stash with
-   | Some (n, blk, v) ->
-     Buffer.add_string b (Printf.sprintf "|T%d:%x=%d" n blk v)
-   | None -> ());
-  (* the spec shadow is path-dependent state: two identical protocol
-     states under different spec memories must explore separately, or
-     a divergence on the pruned branch would be lost.  The racer's
-     clocks are deliberately NOT keyed (race detection is per explored
-     trace; keying full vector clocks would blow the state space), but
-     the racy bit is, since it changes how divergences are judged. *)
-  (match sys.refine with
-   | Some r ->
-     Buffer.add_string b (if r.racy then "|R!" else "|R");
-     Buffer.add_string b (Refine.canon r.rspec)
-   | None -> ());
-  if sys.crash_budget > 0 || sys.recover_budget > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "|X%d/%d" sys.crash_budget sys.recover_budget);
-  Imap.iter
-    (fun key cs ->
-      Buffer.add_string b
-        (Printf.sprintf "|L%d:%d/%d/%d:" key cs.tx_next cs.rx_expected
-           cs.budget);
-      List.iter
-        (fun f ->
-          Buffer.add_string b
-            (Printf.sprintf "#%d%s;" f.fseq (Message.describe f.fmsg)))
-        cs.wire;
-      Buffer.add_string b "~";
-      List.iter (fun f -> Buffer.add_string b (Printf.sprintf "#%d;" f.fseq))
-        cs.rx_buf;
-      Buffer.add_string b "~";
-      List.iter
-        (fun f ->
-          Buffer.add_string b
-            (Printf.sprintf "#%d%s;" f.fseq (Message.describe f.fmsg)))
-        cs.unacked)
-    sys.lchans;
-  Buffer.contents b
+(* Exact binary key for the visited set (see [Key]): the view plus
+   everything else the closed system carries, payload values of
+   in-flight data replies included.  Record patterns are closed, so a
+   field added to the system fails to compile until it is keyed here
+   or explicitly left out. *)
+let encode_frame b { fseq; fmsg } =
+  Key.int b fseq;
+  Message.encode b fmsg
+
+let encode_chan b { tx_next; rx_expected; wire; rx_buf; unacked; budget } =
+  Key.int b tx_next;
+  Key.int b rx_expected;
+  Key.int b budget;
+  Key.list encode_frame b wire;
+  Key.list encode_frame b rx_buf;
+  Key.list encode_frame b unacked
+
+(* The spec shadow is path-dependent state: two identical protocol
+   states under different spec memories must explore separately, or a
+   divergence on the pruned branch would be lost.  The racer's clocks
+   are deliberately NOT keyed (race detection is per explored trace;
+   keying full vector clocks would blow the state space), but the racy
+   bit is, since it changes how divergences are judged.  A node's
+   pending op follows from its script position and wait state, and the
+   commit log is the path's history, so neither is keyed. *)
+let encode_refst b { rspec; racer = _; uops = _; racy; rcommits = _ } =
+  Key.bool b racy;
+  Refine.encode b rspec
+
+let encode_sys b
+    { v; chans; scripts; shadow; regs; pending_read; dropped; stash;
+      lossy = _ (* fixed for the whole run *); lchans; crash_budget;
+      recover_budget; refine } =
+  let imap = T.encode_imap in
+  T.encode b v;
+  imap (Key.list Message.encode) b chans;
+  (* a node's script is always a suffix of the scenario's (a crash
+     empties it), so its length pins it *)
+  imap (fun b s -> Key.int b (List.length s)) b scripts;
+  imap (imap Key.int) b shadow;
+  imap Key.int b regs;
+  imap Key.int b pending_read;
+  Key.bool b dropped;
+  Key.option
+    (fun b (n, blk, value) ->
+      Key.int b n;
+      Key.int b blk;
+      Key.int b value)
+    b stash;
+  Key.option encode_refst b refine;
+  Key.int b crash_budget;
+  Key.int b recover_budget;
+  imap encode_chan b lchans
 
 (* Invalidation-ack conservation: a node expecting [e] acks can never
    have received plus in flight more than [e]. *)
@@ -1124,10 +1131,19 @@ type result = {
   violation : violation option;
 }
 
+(* A counterexample trace from a newest-first path of unforced labels. *)
+let trace path = List.rev_map Lazy.force path
+
 let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
     ?refine ?base ?(max_states = 1_000_000) (sc : scenario) =
   let cfg = cfg_of ?base sc in
   let visited = Hashtbl.create 4096 in
+  let kbuf = Buffer.create 256 in
+  let key sys =
+    Buffer.clear kbuf;
+    encode_sys kbuf sys;
+    Buffer.contents kbuf
+  in
   let states = ref 0 and transitions = ref 0 and terminals = ref 0 in
   let max_depth = ref 0 and truncated = ref false in
   let violation = ref None in
@@ -1139,9 +1155,9 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
       | _ :: _ as errs ->
         violation :=
           Some
-            { verr = errs; vtrace = List.rev path; vcommits = commits_of sys }
+            { verr = errs; vtrace = trace path; vcommits = commits_of sys }
       | [] -> (
-        let ms = moves cfg ~inj:injection sys in
+        let ms = lazy_moves cfg ~inj:injection sys in
         match ms with
         | [] -> (
           incr terminals;
@@ -1151,7 +1167,7 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
             violation :=
               Some
                 { verr = errs;
-                  vtrace = List.rev path;
+                  vtrace = trace path;
                   vcommits = commits_of sys })
         | ms ->
           List.iter
@@ -1163,7 +1179,7 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
                     violation :=
                       Some
                         { verr = [ e ];
-                          vtrace = List.rev (label :: path);
+                          vtrace = trace (label :: path);
                           vcommits = commits_of sys };
                     sys
                 in
@@ -1175,13 +1191,13 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
                       violation :=
                         Some
                           { verr = errs;
-                            vtrace = List.rev (label :: path);
+                            vtrace = trace (label :: path);
                             vcommits = commits };
                       sys'
                   in
                   if !violation = None then begin
                     incr transitions;
-                    let key = canon_sys sys' in
+                    let key = key sys' in
                     if not (Hashtbl.mem visited key) then begin
                       Hashtbl.add visited key ();
                       incr states;
@@ -1195,7 +1211,7 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
     end
   in
   let sys0 = init_sys ?lossy ?crash ?recover ?refine ?base sc in
-  Hashtbl.add visited (canon_sys sys0) ();
+  Hashtbl.add visited (key sys0) ();
   states := 1;
   dfs sys0 [] 0;
   { states = !states;
@@ -1236,11 +1252,11 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
          violation :=
            Some
              { verr = errs;
-               vtrace = List.rev !path;
+               vtrace = trace !path;
                vcommits = commits_of !sys };
          continue := false);
       if !continue then
-        match moves cfg ~inj:injection !sys with
+        match lazy_moves cfg ~inj:injection !sys with
         | [] ->
           (match check_terminal sc cfg !sys with
            | [] -> ()
@@ -1248,7 +1264,7 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
              violation :=
                Some
                  { verr = errs;
-                   vtrace = List.rev !path;
+                   vtrace = trace !path;
                    vcommits = commits_of !sys });
           continue := false
         | ms ->
@@ -1266,14 +1282,14 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
                 violation :=
                   Some
                     { verr = errs;
-                      vtrace = List.rev (label :: !path);
+                      vtrace = trace (label :: !path);
                       vcommits = commits };
                 continue := false)
            with Unexpected e | Failure e | Invalid_argument e ->
              violation :=
                Some
                  { verr = [ e ];
-                   vtrace = List.rev (label :: !path);
+                   vtrace = trace (label :: !path);
                    vcommits = commits_of !sys };
              continue := false)
     done

@@ -110,7 +110,9 @@ val moves :
 (** All enabled moves with display labels: issue next scripted op,
     deliver a channel head, and — on a lossy system — the adversary's
     budgeted drop/dup/reorder moves plus free retransmission of lost
-    frames. *)
+    frames.  Labels are rendered here; [check_exhaustive] and [fuzz]
+    use the same moves with unrendered labels, formatting text only
+    for a counterexample trace. *)
 
 type violation = {
   verr : string list;
@@ -148,7 +150,12 @@ val check_exhaustive :
     physically surviving values, and a vector-clock race detector
     verifies the scenario's [drf] claim along each explored trace.
     The spec state is folded into the visited-set key, so refinement
-    multiplies the state count. *)
+    multiplies the state count.
+
+    The visited set is keyed on an exact binary encoding of the closed
+    system ([Transitions.encode], [Message.encode], [Refine.encode]):
+    equal keys <=> equal states, in-flight data-reply payloads
+    included. *)
 
 val fuzz_seeds : seed:int -> runs:int -> int list
 (** The per-run seeds [fuzz] derives from [seed] via one shared

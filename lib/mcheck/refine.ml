@@ -241,6 +241,20 @@ let canon sp =
 
 let equal a b = canon a = canon b
 
+(* The exact binary counterpart of [canon], folded into the model
+   checker's visited-set key ([nprocs] is fixed per run).  The record
+   pattern is closed so a new spec field must be keyed or named here. *)
+let encode b
+    { nprocs = _; smem; swriter; slocks; sflags; sarr; sdone; spass } =
+  let imap = Transitions.encode_imap in
+  imap (Key.list Key.int) b smem;
+  imap Key.int b swriter;
+  imap Key.int b slocks;
+  Key.list Key.int b sflags;
+  imap Key.int b sarr;
+  imap Key.int b sdone;
+  imap Key.int b spass
+
 (* ------------------------------------------------------------------ *)
 (* Vector-clock race detection                                          *)
 (* ------------------------------------------------------------------ *)

@@ -65,11 +65,15 @@ val force : spec -> sstep -> spec
     scenario (a load adopts the value it observed, etc.). *)
 
 val canon : spec -> string
-(** Canonical string, folded into the model checker's visited-set key
-    (the spec state is path-dependent, so two protocol states with
-    different spec shadows must not be merged). *)
+(** Canonical string (equal strings <=> equal specs), for [equal] and
+    printing. *)
 
 val equal : spec -> spec -> bool
+
+val encode : Buffer.t -> spec -> unit
+(** Exact binary encoding, folded into the model checker's visited-set
+    key (the spec state is path-dependent, so two protocol states with
+    different spec shadows must not be merged). *)
 
 (* Accessors for the abstraction glue and terminal checks. *)
 val mem_values : spec -> int -> int list

@@ -85,3 +85,41 @@ let describe m =
     | _ -> kind_name m
   in
   Printf.sprintf "[%d] %s @0x%x" m.src k m.addr
+
+(* Exact binary key (see Key): a tag per kind, then every field —
+   unlike [describe], a data reply's payload is written by value. *)
+let encode b { src; addr; kind } =
+  Key.int b src;
+  Key.int b addr;
+  match kind with
+  | Coh Read_req -> Key.int b 0
+  | Coh Readex_req -> Key.int b 1
+  | Coh Upgrade_req -> Key.int b 2
+  | Coh (Fwd_read { requester }) ->
+    Key.int b 3;
+    Key.int b requester
+  | Coh (Fwd_readex { requester; acks }) ->
+    Key.int b 4;
+    Key.int b requester;
+    Key.int b acks
+  | Coh (Data_reply { data; exclusive; acks }) ->
+    Key.int b 5;
+    Key.int b (Array.length data);
+    Array.iter (Key.int b) data;
+    Key.bool b exclusive;
+    Key.int b acks
+  | Coh (Upgrade_ack { acks }) ->
+    Key.int b 6;
+    Key.int b acks
+  | Coh (Inv { requester }) ->
+    Key.int b 7;
+    Key.int b requester
+  | Coh Inv_ack -> Key.int b 8
+  | Sync Lock_req -> Key.int b 9
+  | Sync Lock_grant -> Key.int b 10
+  | Sync Unlock_msg -> Key.int b 11
+  | Sync Barrier_arrive -> Key.int b 12
+  | Sync Barrier_release -> Key.int b 13
+  | Sync Flag_set_msg -> Key.int b 14
+  | Sync Flag_wait_req -> Key.int b 15
+  | Sync Flag_wake -> Key.int b 16

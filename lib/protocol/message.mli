@@ -44,4 +44,10 @@ val payload_longs : t -> int
    trace tracks carry. *)
 val kind_name : t -> string
 
+(* Human-readable rendering for traces and counterexamples.  A data
+   reply shows its payload size only, never its values. *)
 val describe : t -> string
+
+(* Exact binary encoding into a visited-state key (see {!Key}): every
+   field, data-reply payload values included. *)
+val encode : Buffer.t -> t -> unit

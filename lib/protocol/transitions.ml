@@ -2139,6 +2139,151 @@ let canon (v : view) : string =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
+(* Binary key                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact binary counterpart of [canon] (see Key): the same fields,
+   maps in key order behind a count prefix, node sets by constructor
+   and every field.  The model checker keys its visited set on this;
+   [canon] stays for replay diffs and counterexamples.  Record patterns
+   are closed (no [; _]), so a field added to a state record fails to
+   compile until it is encoded here. *)
+let encode_imap f b m =
+  Key.int b (Imap.cardinal m);
+  Imap.iter
+    (fun k x ->
+      Key.int b k;
+      f b x)
+    m
+
+let encode_nodeset b (ns : Ns.t) =
+  match ns with
+  | Bits m ->
+    Key.int b 0;
+    Key.int b m
+  | Ptrs { k; n; ps } ->
+    Key.int b 1;
+    Key.int b k;
+    Key.int b n;
+    Key.list Key.int b ps
+  | Bcast { n; excl } ->
+    Key.int b 2;
+    Key.int b n;
+    Key.list Key.int b excl
+  | Cv { g; n; bits; excl } ->
+    Key.int b 3;
+    Key.int b g;
+    Key.int b n;
+    Key.int b bits;
+    Key.list Key.int b excl
+
+let encode_line b l =
+  Key.int b
+    (match l with
+     | L_invalid -> 0
+     | L_shared -> 1
+     | L_exclusive -> 2
+     | L_pending_invalid -> 3
+     | L_pending_shared -> 4)
+
+let encode_pend b { pkind; written; invalidated } =
+  Key.int b (match pkind with P_read -> 0 | P_readex -> 1 | P_upgrade -> 2);
+  Key.bool b invalidated;
+  encode_imap Key.int b written
+
+let encode_ackst b { got; expected } =
+  Key.int b got;
+  Key.option Key.int b expected
+
+let encode_deferred b = function
+  | D_inv blk ->
+    Key.int b 0;
+    Key.int b blk
+  | D_downgrade blk ->
+    Key.int b 1;
+    Key.int b blk
+
+let encode_nstat b = function
+  | N_running -> Key.int b 0
+  | N_waiting (W_blocks bs) ->
+    Key.int b 1;
+    Key.list Key.int b bs
+  | N_waiting W_release -> Key.int b 2
+  | N_waiting W_sync -> Key.int b 3
+
+let encode_resume b = function
+  | R_none -> Key.int b 0
+  | R_refill -> Key.int b 1
+  | R_store_retry { addr; bytes; store_done } ->
+    Key.int b 2;
+    Key.int b addr;
+    Key.int b bytes;
+    Key.bool b store_done
+  | R_store_commit { then_release } ->
+    Key.int b 3;
+    Key.bool b then_release
+  | R_then_release -> Key.int b 4
+  | R_done -> Key.int b 5
+  | R_lock_acquired id ->
+    Key.int b 6;
+    Key.int b id
+  | R_unlock id ->
+    Key.int b 7;
+    Key.int b id
+  | R_barrier_enter -> Key.int b 8
+  | R_barrier_passed -> Key.int b 9
+  | R_flag_set id ->
+    Key.int b 10;
+    Key.int b id
+  | R_flag_woken id ->
+    Key.int b 11;
+    Key.int b id
+
+let encode_nview b
+    { lines; pending; acks; unacked; waiters; deferred; in_batch; nstat;
+      resume; sync_signal } =
+  encode_imap encode_line b lines;
+  encode_imap encode_pend b pending;
+  encode_imap encode_ackst b acks;
+  Key.int b unacked;
+  encode_imap (Key.list Message.encode) b waiters;
+  Key.list encode_deferred b deferred;
+  Key.bool b in_batch;
+  encode_nstat b nstat;
+  encode_resume b resume;
+  Key.bool b sync_signal
+
+let encode b
+    { dir; nodes; locks; flags; barrier_arrived; crashed; halted; homes;
+      heat; brelease } =
+  encode_imap
+    (fun b { owner; sharers } ->
+      Key.int b owner;
+      encode_nodeset b sharers)
+    b dir;
+  encode_imap encode_nview b nodes;
+  encode_imap
+    (fun b { holder; lq } ->
+      Key.option Key.int b holder;
+      Key.list Key.int b lq)
+    b locks;
+  encode_imap
+    (fun b { fset; fwaiters } ->
+      Key.bool b fset;
+      Key.list Key.int b fwaiters)
+    b flags;
+  encode_nodeset b barrier_arrived;
+  encode_nodeset b crashed;
+  encode_nodeset b halted;
+  encode_imap Key.int b homes;
+  encode_imap
+    (fun b (who, k) ->
+      Key.int b who;
+      Key.int b k)
+    b heat;
+  encode_nodeset b brelease
+
+(* ------------------------------------------------------------------ *)
 (* Printers (counterexample traces)                                     *)
 (* ------------------------------------------------------------------ *)
 

@@ -230,8 +230,17 @@ val invariants : cfg -> view -> string list
 val quiescent_invariants : cfg -> view -> string list
 
 (* Canonical string: equal strings <=> equal views (map-shape
-   independent).  Visited-set keys and replay comparison. *)
+   independent).  Replay comparison and counterexamples. *)
 val canon : view -> string
+
+(* Exact binary encoding into a visited-state key (see {!Key}): equal
+   encodings <=> equal views, with every field of [canon] plus full
+   node-set constructors.  The model checker's visited-set key. *)
+val encode : Buffer.t -> view -> unit
+
+val encode_imap :
+  (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a Imap.t -> unit
+(** Count prefix, then the bindings in key order. *)
 
 val string_of_wait : wait -> string
 val string_of_ev : ev -> string

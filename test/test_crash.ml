@@ -408,6 +408,34 @@ let t_double_crash_salvage_chain () =
   Alcotest.(check (option int)) "n2's increment commits on top" (Some 1)
     (Mcheck.value !sys ~node:2 ~block:0)
 
+(* Regression for an unsound visited-set merge.  The old text key
+   rendered an in-flight data reply through [Message.describe], which
+   prints the payload by size ("4B"), not by value — yet the receiver
+   installs that value into its memory.  Under the crash adversary two
+   states that differ only in a reply's payload (the value a crash
+   salvage re-serves versus the one the live owner sent) were merged,
+   and the branch behind the second one was never explored.  The exact
+   binary key keeps them apart; these are the corrected counts (the old
+   key found 27/45 and 76/153 with one halt, 42/68 and 120/225 with a
+   halt and a restart). *)
+let t_crash_key_keeps_payloads () =
+  List.iter
+    (fun (recover, sc, states, transitions) ->
+      let r = Mcheck.check_exhaustive ~crash:1 ?recover sc in
+      let tag =
+        Printf.sprintf "%s crash%s" sc.Mcheck.sname
+          (if recover = None then "" else "+recover")
+      in
+      Alcotest.(check bool) (tag ^ " clean") true (r.Mcheck.violation = None);
+      Alcotest.(check (pair int int))
+        (tag ^ " states/transitions")
+        (states, transitions)
+        (r.Mcheck.states, r.Mcheck.transitions))
+    [ (None, Mcheck.write_race ~nprocs:2, 28, 46);
+      (None, Mcheck.upgrade_race ~nprocs:2, 78, 154);
+      (Some 1, Mcheck.write_race ~nprocs:2, 44, 71);
+      (Some 1, Mcheck.upgrade_race ~nprocs:2, 124, 229) ]
+
 let () =
   Alcotest.run "crash"
     [ ( "lease",
@@ -435,5 +463,9 @@ let () =
             `Quick t_scale_crash_fuzz;
           Alcotest.test_case "double-crash salvage chain regression" `Quick
             t_double_crash_salvage_chain
+        ] );
+      ( "mcheck",
+        [ Alcotest.test_case "visited key keeps in-flight payloads" `Quick
+            t_crash_key_keeps_payloads
         ] )
     ]

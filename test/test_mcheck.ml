@@ -406,6 +406,84 @@ let t_release_order_clean () =
      Alcotest.fail "release-order diverges without injection");
   Alcotest.(check bool) "explored fully" false r.Mcheck.truncated
 
+(* --- the visited-set key ------------------------------------------- *)
+
+(* The six lossy:3 P=2 state spaces (the mcheck-lossy benchmark
+   workload), pinned so a key that merges or splits states shows up as
+   a count change, not only as a slower or faster run. *)
+let t_lossy3_counts () =
+  List.iter2
+    (fun (sc : Mcheck.scenario) want ->
+      let r = Mcheck.check_exhaustive ~lossy:3 sc in
+      Alcotest.(check bool) (sc.Mcheck.sname ^ " clean") true
+        (r.Mcheck.violation = None && not r.Mcheck.truncated);
+      Alcotest.(check (pair int int))
+        (sc.Mcheck.sname ^ " lossy:3 states/transitions")
+        want
+        (r.Mcheck.states, r.Mcheck.transitions))
+    (Mcheck.scenarios ~nprocs:2)
+    [ (2_258, 8_068); (2_452, 8_008); (28_435, 108_387); (1_160, 3_560);
+      (30_797, 109_190); (11_272, 42_463) ]
+
+(* Encoder drift: over views reached by random walks through the base,
+   lossy, crash and scale families at P=2 and P=3, equal binary keys
+   <=> equal canonical strings.  A field that tells reachable views
+   apart but is written by only one of [encode] and [canon] breaks one
+   direction (the encoders' closed record patterns already reject a
+   field nobody encodes).  Views are only compared within one
+   scenario's configuration: node-set fields fixed by the
+   configuration are keyed but not printed. *)
+let key_family k ~nprocs =
+  match k with
+  | 0 -> (Mcheck.scenarios ~nprocs, fun sc -> Mcheck.init_sys sc)
+  | 1 -> (Mcheck.scenarios ~nprocs, fun sc -> Mcheck.init_sys ~lossy:2 sc)
+  | 2 ->
+    ( Mcheck.crash_scenarios ~nprocs,
+      fun sc -> Mcheck.init_sys ~crash:1 ~recover:1 sc )
+  | _ -> (Mcheck.scale_scenarios ~nprocs, fun sc -> Mcheck.init_sys sc)
+
+let walk_views cfg sys ~seed ~steps =
+  let rng = Shasta_prng.Prng.create seed in
+  let rec go sys k acc =
+    let acc = Mcheck.view sys :: acc in
+    match Mcheck.moves cfg ~inj:Mcheck.No_injection sys with
+    | [] -> acc
+    | _ when k = 0 -> acc
+    | ms ->
+      let _, next =
+        List.nth ms (Shasta_prng.Prng.int rng (List.length ms))
+      in
+      go (next ()) (k - 1) acc
+  in
+  go sys steps []
+
+let prop_key_matches_canon (family, nprocs, pick, seed) =
+  let scs, init = key_family family ~nprocs in
+  let sc = List.nth scs (pick mod List.length scs) in
+  let cfg = Mcheck.cfg_of sc in
+  let views =
+    List.concat_map
+      (fun k -> walk_views cfg (init sc) ~seed:(seed + k) ~steps:40)
+      [ 0; 1; 2 ]
+  in
+  let keyed =
+    List.map
+      (fun v ->
+        let b = Buffer.create 256 in
+        T.encode b v;
+        (Buffer.contents b, T.canon v))
+      views
+  in
+  List.for_all
+    (fun (k1, c1) ->
+      List.for_all (fun (k2, c2) -> String.equal k1 k2 = String.equal c1 c2)
+        keyed)
+    keyed
+
+let key_gen =
+  Gen.(
+    quad (int_bound 3) (int_range 2 3) (int_bound 10) (int_bound 1_000_000))
+
 (* --- deterministic replay ------------------------------------------- *)
 
 let t_replay_reproduces () =
@@ -501,6 +579,11 @@ let () =
             t_scale_crash_exhaustive_clean;
           Alcotest.test_case "scale scenarios clean at P=3 (fuzz)" `Quick
             t_scale_fuzz_clean ] );
+      ( "key",
+        [ Alcotest.test_case "lossy:3 state counts pinned (P=2)" `Quick
+            t_lossy3_counts;
+          qtest "binary view key agrees with canon" ~count:100 key_gen
+            prop_key_matches_canon ] );
       ( "replay",
         [ Alcotest.test_case "lu reproduces" `Quick t_replay_reproduces;
           Alcotest.test_case "ocean under SC" `Quick t_replay_sc_mode;

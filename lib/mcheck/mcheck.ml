@@ -31,14 +31,19 @@
    bounded per-channel fault budget to drop the frame at the wire head,
    duplicate it, or let the next frame overtake it; a lost frame is
    eventually retransmitted (a move that costs no budget and is enabled
-   exactly while the frame survives nowhere); the receiver dedups and
-   resequences, delivering each payload to the protocol exactly once,
-   in order.  Terminal states additionally require every channel fully
-   drained — frames in flight, held out of order, or lost-but-unacked
-   all contradict quiescence — which is the "eventual delivery implies
-   quiescence" liveness obligation.  [Retransmit_no_dedup] removes the
-   receiver's dedup so stale retransmitted/duplicated frames reach the
-   protocol twice: the checker must catch the resulting double-counted
+   exactly while the frame survives nowhere).  Arriving frames go
+   through the shipped receiver, [Network.Sublayer.rx_offer] — the
+   same pure function the simulator's interconnect steps — which dedups
+   and resequences, delivering each payload to the protocol exactly
+   once, in order.  The sender half stays the checker's own: an
+   untimed, budgeted adversary, where the simulator samples timed
+   probabilistic faults.  Terminal states additionally require every
+   channel fully drained — frames in flight, held out of order, or
+   lost-but-unacked all contradict quiescence — which is the "eventual
+   delivery implies quiescence" liveness obligation.
+   [Retransmit_no_dedup] hands each duplicate the receiver discards up
+   to the protocol anyway, so stale retransmitted/duplicated frames
+   reach it twice: the checker must catch the resulting double-counted
    acknowledgements or stale data.
 
    With [~crash:budget] a node-crash adversary joins the move set: at
@@ -60,6 +65,7 @@
 
 open Shasta_protocol
 module T = Transitions
+module Sublayer = Shasta_network.Network.Sublayer
 module Imap = T.Imap
 
 let marker = Shasta.Layout.flag_pattern
@@ -111,16 +117,18 @@ type injection =
 type frame = { fseq : int; fmsg : Message.t }
 
 (* Per-channel sublayer state in lossy mode.  [wire] is the physical
-   channel, head arrives first; [rx_buf] holds frames received out of
-   order (sorted by fseq); [unacked] are frames sent but not yet
-   delivered up to the protocol — a frame absent from both wire and
-   rx_buf is lost and retransmittable.  [budget] bounds the adversary's
-   remaining fault moves on this channel. *)
+   channel, head arrives first; [rx] is the shipped receiver
+   ([Network.Sublayer]), stepped exactly as the interconnect steps it;
+   [unacked] are frames sent but not yet delivered up to the protocol
+   (fseq order, all at or past the receiver's next expected) — one that
+   is neither on the wire nor held by [rx] is lost and retransmittable.
+   [budget] bounds the adversary's remaining fault moves on this
+   channel.  The sender half is the checker's own: an untimed, budgeted
+   adversary, not the simulator's timed probabilistic plan. *)
 type chanst = {
   tx_next : int;
-  rx_expected : int;
   wire : frame list;
-  rx_buf : frame list;
+  rx : Message.t Sublayer.rx;
   unacked : frame list;
   budget : int;
 }
@@ -307,8 +315,8 @@ let apply_action ~inj ~(reply : int array option ref) v' node sys
           match Imap.find_opt key sys.lchans with
           | Some cs -> cs
           | None ->
-            { tx_next = 0; rx_expected = 0; wire = []; rx_buf = [];
-              unacked = []; budget }
+            { tx_next = 0; wire = []; rx = Sublayer.rx_empty; unacked = [];
+              budget }
         in
         let f = { fseq = cs.tx_next; fmsg = msg } in
         let cs =
@@ -444,65 +452,44 @@ let deliver_up cfg ~inj sys ~dst (msg : Message.t) =
   in
   run_step cfg ~inj ?reply sys dst (T.I_msg msg)
 
-let has_fseq fseq frames = List.exists (fun g -> g.fseq = fseq) frames
-let drop_fseq fseq frames = List.filter (fun g -> g.fseq <> fseq) frames
+(* [unacked] less the prefix the receiver has delivered up to [expected] *)
+let rec drop_delivered expected = function
+  | g :: rest when g.fseq < expected -> drop_delivered expected rest
+  | unacked -> unacked
 
-(* The head frame of [key]'s wire arrives.  Receiver-side dedup and
-   resequencing: a duplicate is discarded, a future frame is held, the
-   expected frame is delivered up together with everything consecutive
-   it unblocks.  Under [Retransmit_no_dedup] the duplicate check is
-   gone and stale frames hit the protocol again. *)
+(* The head frame of [key]'s wire arrives and is offered to the
+   channel's receiver, which discards a duplicate, holds a future frame,
+   and releases the expected frame together with everything consecutive
+   it unblocks; what it releases is delivered up and leaves [unacked].
+   Every frame is offered at arrival 0: the checker is untimed.  Under
+   [Retransmit_no_dedup] a duplicate is handed up anyway, so stale
+   frames hit the protocol again. *)
 let lossy_deliver cfg ~inj (sys : sys) key =
   let cs = Imap.find key sys.lchans in
   match cs.wire with
   | [] -> assert false
-  | f :: rest ->
+  | f :: wire ->
     let dst = key mod 1024 in
-    let cs = { cs with wire = rest } in
-    let is_dup = f.fseq < cs.rx_expected || has_fseq f.fseq cs.rx_buf in
-    if is_dup then
-      let sys = { sys with lchans = Imap.add key cs sys.lchans } in
-      if inj = Retransmit_no_dedup then deliver_up cfg ~inj sys ~dst f.fmsg
-      else sys
-    else if f.fseq > cs.rx_expected then
-      let rx_buf =
-        List.sort (fun a b -> compare a.fseq b.fseq) (f :: cs.rx_buf)
-      in
-      { sys with lchans = Imap.add key { cs with rx_buf } sys.lchans }
-    else begin
-      let rec flush cs acc =
-        match List.find_opt (fun g -> g.fseq = cs.rx_expected) cs.rx_buf with
-        | Some g ->
-          flush
-            { cs with
-              rx_expected = cs.rx_expected + 1;
-              rx_buf = drop_fseq g.fseq cs.rx_buf;
-              unacked = drop_fseq g.fseq cs.unacked }
-            (g.fmsg :: acc)
-        | None -> (cs, List.rev acc)
-      in
-      let cs =
-        { cs with
-          rx_expected = cs.rx_expected + 1;
-          unacked = drop_fseq f.fseq cs.unacked }
-      in
-      let cs, unblocked = flush cs [] in
-      let sys = { sys with lchans = Imap.add key cs sys.lchans } in
-      List.fold_left
-        (fun sys m -> deliver_up cfg ~inj sys ~dst m)
-        (deliver_up cfg ~inj sys ~dst f.fmsg)
-        unblocked
-    end
+    let rx, up = Sublayer.rx_offer cs.rx ~fseq:f.fseq ~arrival:0 f.fmsg in
+    let up =
+      if inj = Retransmit_no_dedup && Sublayer.rx_is_dup cs.rx ~fseq:f.fseq
+      then [ (0, f.fmsg) ]
+      else up
+    in
+    let unacked = drop_delivered (Sublayer.rx_expected rx) cs.unacked in
+    let sys =
+      { sys with lchans = Imap.add key { cs with wire; rx; unacked } sys.lchans }
+    in
+    List.fold_left (fun sys (_, m) -> deliver_up cfg ~inj sys ~dst m) sys up
 
 (* Frames the sender would eventually time out on: sent, not yet
-   delivered up, and surviving neither on the wire nor in the receive
-   buffer.  Lowest sequence number first ([unacked] is append-ordered). *)
+   delivered up, and surviving neither on the wire nor in the receiver.
+   Lowest sequence number first ([unacked] is append-ordered). *)
 let lost_frames (cs : chanst) =
   List.filter
     (fun f ->
-      f.fseq >= cs.rx_expected
-      && (not (has_fseq f.fseq cs.wire))
-      && not (has_fseq f.fseq cs.rx_buf))
+      (not (Sublayer.rx_is_dup cs.rx ~fseq:f.fseq))
+      && not (List.exists (fun g -> g.fseq = f.fseq) cs.wire))
     cs.unacked
 
 let chan_label key = Printf.sprintf "%d->%d" (key / 1024) (key mod 1024)
@@ -712,12 +699,18 @@ let encode_frame b { fseq; fmsg } =
   Key.int b fseq;
   Message.encode b fmsg
 
-let encode_chan b { tx_next; rx_expected; wire; rx_buf; unacked; budget } =
+(* The receiver's delivery clock is left out: every frame is offered at
+   arrival 0, so it is 0 in every state. *)
+let encode_chan b { tx_next; wire; rx; unacked; budget } =
   Key.int b tx_next;
-  Key.int b rx_expected;
+  Key.int b (Sublayer.rx_expected rx);
   Key.int b budget;
   Key.list encode_frame b wire;
-  Key.list encode_frame b rx_buf;
+  Key.list
+    (fun b (fseq, fmsg) ->
+      Key.int b fseq;
+      Message.encode b fmsg)
+    b (Sublayer.rx_held rx);
   Key.list encode_frame b unacked
 
 (* The spec shadow is path-dependent state: two identical protocol
@@ -1100,7 +1093,7 @@ let check_terminal (sc : scenario) cfg (sys : sys) =
             :: !stuck
       in
       leak "still on the wire" (List.length cs.wire);
-      leak "held out of order" (List.length cs.rx_buf);
+      leak "held out of order" (List.length (Sublayer.rx_held cs.rx));
       leak "undelivered" (List.length cs.unacked))
     sys.lchans;
   (* once a node has crashed mid-script the scenario's data outcome is

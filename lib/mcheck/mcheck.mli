@@ -16,11 +16,14 @@
    under the reliable-delivery sublayer: every message becomes a
    sequence-numbered frame, the adversary spends a bounded per-channel
    budget on drop/duplicate/reorder moves, lost frames are
-   retransmitted, and the receiver dedups and resequences.  Terminal
-   states must additionally have every channel drained — the "eventual
-   delivery implies quiescence" liveness check.  [Retransmit_no_dedup]
-   removes the receiver-side dedup so stale frames reach the protocol
-   twice, a transport bug the checker must catch.
+   retransmitted, and the receiver dedups and resequences.  The
+   receiver is the shipped one ([Shasta_network.Network.Sublayer]),
+   so the exhaustive proof covers the code the simulator runs.
+   Terminal states must additionally have every channel drained — the
+   "eventual delivery implies quiescence" liveness check.
+   [Retransmit_no_dedup] hands the duplicates the receiver discards up
+   to the protocol anyway, so stale frames reach it twice, a transport
+   bug the checker must catch.
 
    [~crash:budget] adds a node-crash adversary: at any state it may
    halt any node (while at least two are live), purge the victim's

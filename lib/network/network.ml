@@ -26,10 +26,13 @@
    timeout with exponential backoff.  Because every node's send order
    is deterministic and the fault coins are drawn from a per-channel
    seeded stream, the arrival time of the first surviving copy of each
-   frame can be computed at send time; the resequencer then assigns
-   delivery times in sequence order.  The protocol layer never sees a
-   dropped, duplicated or reordered message — it sees retransmission
-   stalls, which the observability taps attribute ([on_fault]). *)
+   frame can be computed at send time; the receiver then assigns
+   delivery times in sequence order.  The receiver is a pure state
+   machine, and it is the one the model checker's lossy mode steps
+   exhaustively; on the reliable wire it is what keeps each channel
+   FIFO.  The protocol layer never sees a dropped, duplicated or
+   reordered message — it sees retransmission stalls, which the
+   observability taps attribute ([on_fault]). *)
 
 type profile = {
   net_name : string;
@@ -161,48 +164,54 @@ let clean_xmit =
 (* Reliable-delivery sublayer                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Receiver side of the sublayer, usable (and unit-tested) on its own:
-   frames carry per-channel sequence numbers; [rx_offer] accepts them
-   in any arrival order and hands payloads up exactly once, in
-   sequence order, at a delivery time never earlier than any
+(* Receiver side of the sublayer: a pure state machine, written the way
+   [Transitions] is, so the simulator and the model checker step the
+   same function.  Frames carry per-channel sequence numbers; [rx_offer]
+   accepts them in any arrival order and hands payloads up exactly
+   once, in sequence order, at a delivery time never earlier than any
    previously delivered payload (per-channel FIFO restored). *)
 module Sublayer = struct
   type 'a rx = {
-    mutable expected : int; (* next sequence number to deliver *)
-    mutable last_deliver : int; (* delivery times are monotonic *)
-    held : (int, int * 'a) Hashtbl.t; (* fseq -> first arrival, payload *)
+    expected : int; (* next sequence number to deliver *)
+    last_deliver : int; (* delivery times are monotonic *)
+    held : (int * int * 'a) list;
+        (* out-of-order frames: (fseq, first arrival, payload), fseq order *)
   }
 
-  let rx_create () = { expected = 0; last_deliver = 0; held = Hashtbl.create 8 }
+  let rx_empty = { expected = 0; last_deliver = 0; held = [] }
 
   let rx_expected rx = rx.expected
-  let rx_held rx = Hashtbl.length rx.held
+  let rx_held rx = List.map (fun (fseq, _, p) -> (fseq, p)) rx.held
+
+  let rec held_mem (fseq : int) = function
+    | (s, _, _) :: rest -> s = fseq || held_mem fseq rest
+    | [] -> false
 
   (* Is a frame with [fseq] a duplicate (already delivered or already
      held)? *)
-  let rx_is_dup rx ~fseq = fseq < rx.expected || Hashtbl.mem rx.held fseq
+  let rx_is_dup rx ~fseq = fseq < rx.expected || held_mem fseq rx.held
 
-  (* Offer one frame arrival.  Returns the payloads that become
-     deliverable, in sequence order, each with its delivery time; a
-     duplicate or out-of-order frame returns []. *)
+  let rec insert (((fseq : int), _, _) as h) = function
+    | ((s, _, _) as g) :: rest when s < fseq -> g :: insert h rest
+    | l -> h :: l
+
+  (* Offer one frame arrival.  Returns the new state and the payloads
+     that become deliverable, in sequence order, each with its delivery
+     time: a duplicate delivers nothing, a future frame is held, and the
+     expected frame is delivered with every held frame it unblocks. *)
   let rx_offer rx ~fseq ~arrival payload =
-    if rx_is_dup rx ~fseq then []
+    if rx_is_dup rx ~fseq then (rx, [])
+    else if fseq > rx.expected then
+      ({ rx with held = insert (fseq, arrival, payload) rx.held }, [])
     else begin
-      Hashtbl.replace rx.held fseq (arrival, payload);
-      let out = ref [] in
-      let rec flush () =
-        match Hashtbl.find_opt rx.held rx.expected with
-        | None -> ()
-        | Some (a, p) ->
-          Hashtbl.remove rx.held rx.expected;
-          let t = max a rx.last_deliver in
-          rx.last_deliver <- t;
-          rx.expected <- rx.expected + 1;
-          out := (t, p) :: !out;
-          flush ()
+      let rec flush expected last acc = function
+        | (s, a, p) :: rest when s = expected ->
+          let t = max a last in
+          flush (expected + 1) t ((t, p) :: acc) rest
+        | held -> ({ expected; last_deliver = last; held }, List.rev acc)
       in
-      flush ();
-      List.rev !out
+      let t = max arrival rx.last_deliver in
+      flush (fseq + 1) t [ (t, payload) ] rx.held
     end
 
   (* Sender side: plan the transmission of one frame over the faulty
@@ -210,17 +219,15 @@ module Sublayer = struct
      retransmitted after a timeout that doubles every time (exponential
      backoff).  Returns the arrival time of the first surviving copy,
      the arrival of a duplicated copy (if the dup coin fired), and the
-     fault summary.  Deterministic in [rng]; at most [max_attempts]
-     tries, the last of which always survives (the model never loses a
-     frame for good — that would wedge the protocol, not slow it). *)
+     fault summary.  Deterministic in [rng].  With [max_retx] = 0 there
+     are at most [max_attempts] tries, the last of which always survives
+     (the historical never-lose channel: losing a frame for good would
+     wedge the protocol, not slow it).  With [max_retx] > 0 the sender
+     gives up after that many retransmissions and reports a timeout
+     ([None] arrival, [timed_out] set) instead of forcing the last
+     attempt through; the coins drawn before that point are the same. *)
   let max_attempts = 16
 
-  (* Bounded variant: with [max_retx] > 0 the sender gives up after
-     that many retransmissions and reports a timeout ([None] arrival,
-     [timed_out] set) instead of forcing the last attempt through.
-     [max_retx] = 0 keeps the historical never-lose behaviour, and
-     draws exactly the same coins in exactly the same order, so a
-     zero/absent knob is byte-identical. *)
   let tx_plan_bounded (f : faults) ~max_retx rng ~now ~flight ~rto =
     let cap = if max_retx > 0 then min max_retx (max_attempts - 1)
       else max_attempts - 1 in
@@ -255,11 +262,6 @@ module Sublayer = struct
       (Some arrival, dup_arrival,
        { retx; backoff; duplicated; reordered; timed_out = false })
     end
-
-  let tx_plan (f : faults) rng ~now ~flight ~rto =
-    match tx_plan_bounded f ~max_retx:0 rng ~now ~flight ~rto with
-    | Some arrival, dup_arrival, x -> (arrival, dup_arrival, x)
-    | None, _, _ -> assert false (* unbounded plans always deliver *)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -332,7 +334,6 @@ type 'a t = {
   nprocs : int;
   (* chan.(src * nprocs + dst) *)
   chans : 'a queued Queue.t array;
-  mutable last_deliver : int array; (* per channel, for FIFO ordering *)
   mutable seq : int;
   (* [earliest.(dst)] is the smallest delivery time among the heads of
      the P channels into [dst] ([max_int]: nothing queued).  Delivery
@@ -346,10 +347,12 @@ type 'a t = {
   mutable sent : int;
   mutable payload_longs : int;
   (* unreliable wire + reliable sublayer (None = the paper's perfect
-     interconnect; the send path is then exactly the historical one) *)
+     interconnect: no fault coins are drawn) *)
   faults : faults option;
   rngs : Random.State.t array; (* per channel, seeded (fseed, src, dst) *)
-  rxs : unit Sublayer.rx array; (* per channel resequencer (times only) *)
+  (* per channel receiver; on either wire its delivery clock is what
+     keeps the channel FIFO *)
+  rxs : 'a Sublayer.rx array;
   wire_last : int array; (* per channel raw-wire FIFO point *)
   mutable fstats : fault_stats;
   (* node-level liveness: [dead.(n)] marks a node declared crashed
@@ -382,14 +385,13 @@ let create ?faults ~nprocs profile =
   let seed = match faults with Some f -> f.fseed | None -> 0 in
   { profile; nprocs;
     chans = Array.init nchan (fun _ -> Queue.create ());
-    last_deliver = Array.make nchan 0;
     seq = 0; earliest = Array.make nprocs max_int; in_flight = 0;
     sent = 0; payload_longs = 0;
     faults;
     rngs =
       Array.init nchan (fun c ->
         Random.State.make [| seed; c / nprocs; c mod nprocs |]);
-    rxs = Array.init nchan (fun _ -> Sublayer.rx_create ());
+    rxs = Array.make nchan Sublayer.rx_empty;
     wire_last = Array.make nchan 0;
     fstats = zero_fault_stats;
     dead = Array.make nprocs false;
@@ -451,68 +453,64 @@ let send t ~src ~dst ~now ~payload_longs msg =
     now + p.send_overhead
   end
   else begin
-    let delivered = ref true in
-    (match t.faults with
-     | None ->
-       (* the paper's reliable wire: point-to-point FIFO, never deliver
-          before a previously sent message on the same channel *)
-       let deliver = max (now + p.send_overhead + flight) t.last_deliver.(c) in
-       t.last_deliver.(c) <- deliver;
-       push t ~src ~dst ~deliver msg
-     | Some f ->
-       (* unreliable wire under the reliable sublayer: plan the frame's
-          transmission (drops retransmitted with backoff, optional extra
-          delay and duplication), then resequence: the frame is delivered
-          when it AND everything before it on the channel have arrived *)
-       let rng = t.rngs.(c) in
-       let arrival, dup_arrival, x =
-         Sublayer.tx_plan_bounded f ~max_retx:f.max_retx rng
-           ~now:(now + p.send_overhead) ~flight ~rto:(effective_rto t)
-       in
-       (match arrival with
-        | None ->
-          (* retransmission budget exhausted: the sublayer gives up on
-             this frame.  The channel's sequence space is untouched (the
-             frame was never offered to the resequencer), so later
-             frames flow past the loss. *)
-          delivered := false
-        | Some arrival ->
-          (* a non-reordered frame respects the raw wire's FIFO point; a
-             reordered one may overtake it (resequencing restores order) *)
-          let arrival =
-            if x.reordered then arrival
+    (* when the frame reaches the receiver; [None] if the sublayer gave
+       up on it *)
+    let arrival =
+      match t.faults with
+      | None ->
+        (* the paper's reliable wire: point-to-point FIFO *)
+        Some (now + p.send_overhead + flight)
+      | Some f ->
+        (* unreliable wire under the reliable sublayer: plan the frame's
+           transmission (drops retransmitted with backoff, optional extra
+           delay and duplication) *)
+        let arrival, dup_arrival, x =
+          Sublayer.tx_plan_bounded f ~max_retx:f.max_retx t.rngs.(c)
+            ~now:(now + p.send_overhead) ~flight ~rto:(effective_rto t)
+        in
+        (* duplicated copies reach the receiver and are discarded there *)
+        let dups = match dup_arrival with Some _ -> 1 | None -> 0 in
+        let s = t.fstats in
+        t.fstats <-
+          { drops = s.drops + x.retx;
+            dups = s.dups + dups;
+            retxs = s.retxs + x.retx;
+            reorders = (s.reorders + if x.reordered then 1 else 0);
+            backoff_cycles = s.backoff_cycles + x.backoff;
+            timeouts = (s.timeouts + if x.timed_out then 1 else 0) };
+        if x <> clean_xmit then t.on_fault ~src ~dst ~now x msg;
+        (* a non-reordered frame respects the raw wire's FIFO point; a
+           reordered one may overtake it (resequencing restores order).
+           An abandoned frame ([None]: retransmission budget exhausted)
+           is never offered, so the channel's sequence space is
+           untouched and later frames flow past the loss. *)
+        Option.map
+          (fun a ->
+            if x.reordered then a
             else begin
-              let a = max arrival t.wire_last.(c) in
+              let a = max a t.wire_last.(c) in
               t.wire_last.(c) <- a;
               a
-            end
-          in
-          (* frames enter the resequencer in sequence order (sends on a
-             channel are issued in order), so delivery time is the arrival
-             clamped to the channel's previous delivery *)
-          (match Sublayer.rx_offer t.rxs.(c)
-                   ~fseq:(Sublayer.rx_expected t.rxs.(c)) ~arrival ()
-           with
-           | [ (deliver, ()) ] ->
-             t.last_deliver.(c) <- deliver;
-             push t ~src ~dst ~deliver msg
-           | _ -> assert false));
-       (* duplicated copies reach the receiver and are discarded there *)
-       let dups = match dup_arrival with Some _ -> 1 | None -> 0 in
-       let s = t.fstats in
-       t.fstats <-
-         { drops = s.drops + x.retx;
-           dups = s.dups + dups;
-           retxs = s.retxs + x.retx;
-           reorders = (s.reorders + if x.reordered then 1 else 0);
-           backoff_cycles = s.backoff_cycles + x.backoff;
-           timeouts = (s.timeouts + if x.timed_out then 1 else 0) };
-       if x <> clean_xmit then t.on_fault ~src ~dst ~now x msg);
-    if !delivered then begin
-      t.sent <- t.sent + 1;
-      t.payload_longs <- t.payload_longs + payload_longs;
-      t.on_send ~src ~dst ~now msg
-    end;
+            end)
+          arrival
+    in
+    (match arrival with
+     | None -> ()
+     | Some arrival ->
+       (* frames enter the receiver in sequence order (sends on a channel
+          are issued in order), so each is delivered at once, at its
+          arrival clamped to the channel's previous delivery *)
+       let rx = t.rxs.(c) in
+       (match
+          Sublayer.rx_offer rx ~fseq:(Sublayer.rx_expected rx) ~arrival msg
+        with
+        | rx, [ (deliver, msg) ] ->
+          t.rxs.(c) <- rx;
+          push t ~src ~dst ~deliver msg
+        | _ -> assert false);
+       t.sent <- t.sent + 1;
+       t.payload_longs <- t.payload_longs + payload_longs;
+       t.on_send ~src ~dst ~now msg);
     now + p.send_overhead
   end
 
@@ -590,9 +588,8 @@ let mark_dead t ~node =
           t.chans.(c);
         t.in_flight <- t.in_flight - Queue.length t.chans.(c);
         Queue.clear t.chans.(c);
-        t.rxs.(c) <- Sublayer.rx_create ();
-        t.wire_last.(c) <- 0;
-        t.last_deliver.(c) <- 0)
+        t.rxs.(c) <- Sublayer.rx_empty;
+        t.wire_last.(c) <- 0)
       (if other = node then [ (node, node) ]
        else [ (node, other); (other, node) ])
   done;

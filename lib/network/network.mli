@@ -75,46 +75,48 @@ val clean_xmit : xmit
 
 (** {2 Reliable-delivery sublayer}
 
-    The receiver half is exposed on its own so its exactly-once,
-    in-order delivery guarantee can be tested independently of the
-    protocol. *)
+    The receiver half is a pure state machine: the interconnect keeps
+    one value per channel, and the model checker's lossy mode steps the
+    same functions, so the exactly-once, in-order guarantee it proves
+    exhaustively is a property of the code that ships. *)
 
 module Sublayer : sig
   type 'a rx
+  (** One channel's receiver: next expected sequence number, last
+      delivery time, and the frames held for a sequence gap. *)
 
-  val rx_create : unit -> 'a rx
+  val rx_empty : 'a rx
   val rx_expected : 'a rx -> int
   (** Next sequence number to be delivered. *)
 
-  val rx_held : 'a rx -> int
-  (** Frames buffered waiting for a sequence gap to fill. *)
+  val rx_held : 'a rx -> (int * 'a) list
+  (** Frames buffered waiting for a sequence gap to fill, as
+      [(fseq, payload)] in sequence order. *)
 
   val rx_is_dup : 'a rx -> fseq:int -> bool
+  (** Already delivered or already held. *)
 
-  val rx_offer : 'a rx -> fseq:int -> arrival:int -> 'a -> (int * 'a) list
-  (** Offer one frame arrival.  Returns the payloads that become
-      deliverable, in sequence order, each with its delivery time
-      (monotonic per channel); a duplicate returns [[]], an
+  val rx_offer :
+    'a rx -> fseq:int -> arrival:int -> 'a -> 'a rx * (int * 'a) list
+  (** Offer one frame arrival.  Returns the new state and the payloads
+      that become deliverable, in sequence order, each with its
+      delivery time (the running maximum of arrivals, so monotonic per
+      channel); a duplicate returns the state unchanged and [[]], an
       out-of-order frame is held. *)
 
   val max_attempts : int
 
-  val tx_plan :
-    faults -> Random.State.t -> now:int -> flight:int -> rto:int ->
-    int * int option * xmit
-  (** Plan one frame's transmission over the faulty wire: returns the
-      arrival time of the first surviving copy, the arrival of a
-      duplicate copy if any, and the fault summary.  Deterministic in
-      the RNG state; at most [max_attempts] tries, the last of which
-      always survives. *)
-
   val tx_plan_bounded :
     faults -> max_retx:int -> Random.State.t ->
     now:int -> flight:int -> rto:int -> int option * int option * xmit
-  (** Like {!tx_plan} but the sender gives up after [max_retx]
-      retransmissions: [None] arrival with [timed_out] set means the
-      frame was abandoned.  [max_retx = 0] never abandons and draws the
-      same coins as {!tx_plan}. *)
+  (** Plan one frame's transmission over the faulty wire: returns the
+      arrival time of the first surviving copy, the arrival of a
+      duplicate copy if any, and the fault summary.  Deterministic in
+      the RNG state.  [max_retx = 0] never abandons a frame: at most
+      [max_attempts] tries, the last of which always survives.
+      Otherwise the sender gives up after [max_retx] retransmissions:
+      [None] arrival with [timed_out] set means the frame was
+      abandoned. *)
 end
 
 (** {2 Lease arithmetic}
@@ -217,8 +219,6 @@ val stats : 'a t -> int * int
 val fault_stats : 'a t -> fault_stats
 (** Cumulative fault-layer activity since creation; all zero when the
     wire is reliable. *)
-
-val effective_rto : 'a t -> int
 
 (** {2 Node-level liveness} *)
 

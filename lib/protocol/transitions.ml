@@ -308,7 +308,7 @@ let dir_entry_exn c block =
   | Some e -> e
   | None ->
     invalid_arg
-      (Printf.sprintf "Directory.entry: unallocated block 0x%x" block)
+      (Printf.sprintf "Transitions.dir_entry: unallocated block 0x%x" block)
 
 let set_dir c block e = c.v <- { c.v with dir = Imap.add block e c.v.dir }
 

@@ -14,8 +14,9 @@
      receiver half delivers every payload exactly once, in per-channel
      sequence order, with monotonic delivery times, whatever arrival
      order and duplication the wire inflicts; the sender half's
-     transmission plan is deterministic in the RNG and respects the
-     backoff arithmetic. *)
+     transmission plan is deterministic in the RNG, respects the
+     backoff arithmetic, and under a retransmission bound times out
+     exactly when the retry-forever plan would have needed more. *)
 
 module Support = Test_support.Support
 module Network = Shasta_network.Network
@@ -172,16 +173,20 @@ let arrivals_gen =
   list_size (return (List.length order)) (int_range 0 100_000) >>= fun times ->
   return (n, List.combine order times)
 
+(* Offer [events] in order, threading the receiver state; returns the
+   final state and everything delivered, in delivery order. *)
+let offer_all events =
+  let rx, out =
+    List.fold_left
+      (fun (rx, out) (fseq, arrival) ->
+        let rx, ds = Network.Sublayer.rx_offer rx ~fseq ~arrival fseq in
+        (rx, List.rev_append ds out))
+      (Network.Sublayer.rx_empty, []) events
+  in
+  (rx, List.rev out)
+
 let prop_exactly_once_in_order (n, events) =
-  let rx = Network.Sublayer.rx_create () in
-  let delivered = ref [] in
-  List.iter
-    (fun (fseq, arrival) ->
-      List.iter
-        (fun d -> delivered := d :: !delivered)
-        (Network.Sublayer.rx_offer rx ~fseq ~arrival fseq))
-    events;
-  let ds = List.rev !delivered in
+  let rx, ds = offer_all events in
   (* every payload exactly once, in sequence order *)
   List.map snd ds = List.init n Fun.id
   (* delivery times never go backwards (channel FIFO restored) *)
@@ -200,27 +205,40 @@ let prop_exactly_once_in_order (n, events) =
          t >= first_arrival)
        ds
   (* nothing held back once every gap is filled *)
-  && Network.Sublayer.rx_held rx = 0
+  && Network.Sublayer.rx_held rx = []
   && Network.Sublayer.rx_expected rx = n
 
 (* Offering a partial, gappy schedule never delivers past the first
    gap, and re-offering a delivered or held frame is a no-op. *)
 let prop_gap_holds (n, events) =
-  let rx = Network.Sublayer.rx_create () in
   (* withhold sequence number 0 entirely *)
   let events = List.filter (fun (fseq, _) -> fseq <> 0) events in
-  List.iter
-    (fun (fseq, arrival) ->
-      match Network.Sublayer.rx_offer rx ~fseq ~arrival fseq with
-      | [] -> ()
-      | _ -> failwith "delivered across a sequence gap")
-    events;
-  Network.Sublayer.rx_expected rx = 0
-  && (n <= 1 || Network.Sublayer.rx_held rx > 0)
+  let rx, ds = offer_all events in
+  ds = []
+  && Network.Sublayer.rx_expected rx = 0
+  && (n <= 1 || Network.Sublayer.rx_held rx <> [])
   && (* dups of held frames are detected *)
   List.for_all
     (fun (fseq, _) -> Network.Sublayer.rx_is_dup rx ~fseq)
     events
+
+(* The case [Network.send] relies on: frames offered in sequence, with
+   no duplicates, are never held, and each is delivered at once at the
+   running maximum of the arrivals so far. *)
+let in_order_gen =
+  QCheck2.Gen.(list_size (int_range 1 30) (int_range 0 100_000))
+
+let prop_in_order_running_max arrivals =
+  let _, ok, _ =
+    List.fold_left
+      (fun (rx, ok, last) arrival ->
+        let fseq = Network.Sublayer.rx_expected rx in
+        let rx, ds = Network.Sublayer.rx_offer rx ~fseq ~arrival fseq in
+        let t = max last arrival in
+        (rx, ok && ds = [ (t, fseq) ] && Network.Sublayer.rx_held rx = [], t))
+      (Network.Sublayer.rx_empty, true, 0) arrivals
+  in
+  ok
 
 (* --- QCheck: the sender half (transmission planning) ---------------- *)
 
@@ -234,35 +252,57 @@ let tx_gen =
   int_range 0 100_000 >>= fun now ->
   int_range 1 5_000 >>= fun flight ->
   int_range 1 10_000 >>= fun rto ->
-  return (seed, drop, dup, reorder, delay, now, flight, rto)
+  int_range 0 3 >>= fun max_retx ->
+  return (seed, drop, dup, reorder, delay, now, flight, rto, max_retx)
 
-let prop_tx_plan (seed, drop, dup, reorder, delay, now, flight, rto) =
+let prop_tx_plan (seed, drop, dup, reorder, delay, now, flight, rto, max_retx) =
   let f =
     { Network.no_faults with drop; dup; reorder; delay; delay_cycles = 2000 }
   in
-  let plan () =
-    Network.Sublayer.tx_plan f
+  let plan max_retx =
+    Network.Sublayer.tx_plan_bounded f ~max_retx
       (Random.State.make [| seed |])
       ~now ~flight ~rto
   in
-  let arrival, dup_arrival, x = plan () in
+  let arrival, dup_arrival, x = plan max_retx in
+  (* the retry-forever plan ([max_retx] = 0) from the same coins *)
+  let forever = plan 0 in
   (* deterministic in the RNG seed *)
-  plan () = (arrival, dup_arrival, x)
-  (* bounded retries; the last attempt always survives *)
-  && x.Network.retx >= 0
-  && x.Network.retx < Network.Sublayer.max_attempts
-  (* the frame arrives after its (possibly backed-off) flight *)
-  && arrival >= now + flight + x.Network.backoff
-  (* backoff is exactly the sum of the doubling timeouts *)
-  && (let expect = ref 0 in
-      for k = 0 to x.Network.retx - 1 do
+  plan max_retx = (arrival, dup_arrival, x)
+  (* a frame times out exactly when it never arrives *)
+  && x.Network.timed_out = (arrival = None)
+  (* backoff is exactly the sum of the doubling timeouts waited: one
+     per retransmission, none after a final, abandoned attempt *)
+  && (let waited = if x.Network.timed_out then x.Network.retx - 1
+        else x.Network.retx in
+      let expect = ref 0 in
+      for k = 0 to waited - 1 do
         expect := !expect + (rto * (1 lsl min k 10))
       done;
       x.Network.backoff = !expect)
-  (* a duplicate copy trails the original *)
-  && (match dup_arrival with
-      | None -> not x.Network.duplicated
-      | Some d -> x.Network.duplicated && d > arrival)
+  &&
+  match arrival with
+  | None ->
+    (* only a bounded sender gives up, and only once every allowed
+       attempt was dropped — attempts the retry-forever sender also
+       lost *)
+    max_retx > 0
+    && x.Network.retx = max_retx + 1
+    && dup_arrival = None
+    && (let _, _, fx = forever in fx.Network.retx > max_retx)
+  | Some arrival ->
+    (* a delivered frame's plan is the retry-forever plan *)
+    forever = (Some arrival, dup_arrival, x)
+    (* bounded retries; the last attempt always survives *)
+    && x.Network.retx >= 0
+    && x.Network.retx < Network.Sublayer.max_attempts
+    && (max_retx = 0 || x.Network.retx <= max_retx)
+    (* the frame arrives after its (possibly backed-off) flight *)
+    && arrival >= now + flight + x.Network.backoff
+    (* a duplicate copy trails the original *)
+    && (match dup_arrival with
+        | None -> not x.Network.duplicated
+        | Some d -> x.Network.duplicated && d > arrival)
 
 let () =
   Alcotest.run "faults"
@@ -281,6 +321,8 @@ let () =
             arrivals_gen prop_exactly_once_in_order;
           Support.qtest "gaps hold delivery" ~count:300 arrivals_gen
             prop_gap_holds;
+          Support.qtest "in-order offers deliver at the running max"
+            ~count:300 in_order_gen prop_in_order_running_max;
           Support.qtest "tx plan: deterministic, bounded, backoff arithmetic"
             ~count:500 tx_gen prop_tx_plan ] )
     ]

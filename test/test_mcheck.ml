@@ -343,24 +343,24 @@ let t_scale_fuzz_clean () =
 
 (* A sublayer that retransmits but forgets to dedup hands stale frames
    to the protocol; the checker must catch it (stray data replies or
-   ack over-delivery), with a printable counterexample. *)
+   ack over-delivery) in every P=2 scenario, each with a printable
+   counterexample. *)
 let t_no_dedup_caught () =
-  let caught =
-    List.filter_map
-      (fun sc ->
+  List.iter
+    (fun (sc : Mcheck.scenario) ->
+      match
         (Mcheck.check_exhaustive ~injection:Mcheck.Retransmit_no_dedup
            ~lossy:1 sc)
-          .Mcheck.violation)
-      (Mcheck.scenarios ~nprocs:2)
-  in
-  Alcotest.(check bool)
-    "at least one scenario catches retransmit-without-dedup" true
-    (caught <> []);
-  List.iter
-    (fun (v : Mcheck.violation) ->
-      Alcotest.(check bool) "counterexample trace is non-empty" true
-        (v.Mcheck.vtrace <> []))
-    caught
+          .Mcheck.violation
+      with
+      | None ->
+        Alcotest.failf "%s: retransmit-without-dedup not caught"
+          sc.Mcheck.sname
+      | Some v ->
+        Alcotest.(check bool)
+          (sc.Mcheck.sname ^ ": counterexample trace is non-empty")
+          true (v.Mcheck.vtrace <> []))
+    (Mcheck.scenarios ~nprocs:2)
 
 (* A store commit reordered past its lock release preserves every
    pre-refinement check — release-order's data oracle deliberately

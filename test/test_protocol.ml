@@ -3,35 +3,40 @@
 
 open Shasta_protocol
 
-(* --- directory ------------------------------------------------------ *)
+(* --- directory (the pure view's) ------------------------------------ *)
+
+module T = Transitions
+
+let dir_cfg =
+  { T.nprocs = 4; page_bytes = 8192; sc = false; dmode = Nodeset.Full;
+    scalable_sync = false; migrate = false }
+
+let dir_step v input = snd (T.step dir_cfg v ~node:0 input)
 
 let t_dir_homes () =
-  let d = Directory.create ~nprocs:4 () in
-  Alcotest.(check int) "round robin page 0" 0 (Directory.home_of d 0);
-  Alcotest.(check int) "round robin page 1" 1 (Directory.home_of d 8192);
-  Alcotest.(check int) "round robin wraps" 0 (Directory.home_of d (4 * 8192));
-  Directory.set_home d ~page:2 ~home:3;
+  Alcotest.(check int) "round robin page 0" 0 (T.home_of dir_cfg 0);
+  Alcotest.(check int) "round robin page 1" 1 (T.home_of dir_cfg 8192);
+  Alcotest.(check int) "round robin wraps" 0 (T.home_of dir_cfg (4 * 8192));
+  let v = dir_step (T.init dir_cfg) (T.I_set_home { page = 2; home = 3 }) in
   Alcotest.(check int) "explicit placement" 3
-    (Directory.home_of d (2 * 8192));
-  Alcotest.check_raises "home must exist" (Invalid_argument "Directory.set_home")
-    (fun () -> Directory.set_home d ~page:0 ~home:7)
+    (T.home_for dir_cfg v (2 * 8192));
+  Alcotest.(check int) "other pages keep the natural home" 1
+    (T.home_for dir_cfg v 8192)
 
 let t_dir_entries () =
-  let d = Directory.create ~nprocs:4 () in
-  Directory.add_block d ~block:0x1000 ~owner:2;
-  let e = Directory.entry d 0x1000 in
-  Alcotest.(check int) "owner" 2 e.owner;
-  Alcotest.(check bool) "owner is sharer" true (Directory.is_sharer e 2);
-  Directory.add_sharer e 0;
-  Directory.add_sharer e 3;
-  Alcotest.(check int) "sharer count" 3 (Directory.sharer_count e);
-  Alcotest.(check (list int)) "sharer list" [ 0; 2; 3 ]
-    (Directory.sharer_list e ~nprocs:4);
-  Directory.remove_sharer e 2;
-  Alcotest.(check bool) "removed" false (Directory.is_sharer e 2);
-  Alcotest.(check bool) "unallocated block rejected" true
-    (try ignore (Directory.entry d 0x2000); false
-     with Invalid_argument _ -> true)
+  let v =
+    dir_step (T.init dir_cfg) (T.I_alloc { owner = 2; blocks = [ 0x1000 ] })
+  in
+  (match T.dir_entry v ~block:0x1000 with
+   | None -> Alcotest.fail "allocated block has no entry"
+   | Some e ->
+     Alcotest.(check int) "owner" 2 e.T.owner;
+     Alcotest.(check bool) "owner is sharer" true (T.is_sharer e 2);
+     Alcotest.(check (list int)) "sharer list" [ 2 ]
+       (T.sharer_list e ~nprocs:4);
+     Alcotest.(check int) "sharer count" 1 (T.sharer_count e));
+  Alcotest.(check bool) "unallocated block has no entry" true
+    (T.dir_entry v ~block:0x2000 = None)
 
 (* --- granularity ---------------------------------------------------- *)
 

@@ -346,6 +346,29 @@ let t_mark_private_exclusive () =
       done)
     cases
 
+(* An explicit placement naming a home outside the cluster is a
+   configuration error, rejected when the cluster is built. *)
+let t_placement_home_must_exist () =
+  let p = prog [ proc "appinit" []; proc "work" [] ] in
+  List.iter
+    (fun home ->
+      let spec =
+        { (Api.default_spec p) with nprocs = 4; placement = [ (0, home) ] }
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "home %d rejected" home)
+        (Invalid_argument
+           (Printf.sprintf "Cluster.create: placement home %d out of range"
+              home))
+        (fun () -> ignore (Api.prepare spec)))
+    [ 4; -1 ];
+  let spec =
+    { (Api.default_spec p) with nprocs = 4; placement = [ (0, 3) ] }
+  in
+  let state, _, _ = Api.prepare spec in
+  Alcotest.(check int) "in-range home installed" 3
+    (Shasta_protocol.Transitions.home_for state.tcfg state.proto 0)
+
 let () =
   Alcotest.run "runtime"
     [ ( "sharing",
@@ -363,6 +386,9 @@ let () =
       ( "invariants",
         [ Alcotest.test_case "after stress" `Quick t_invariants_after_stress ]
       );
+      ( "placement",
+        [ Alcotest.test_case "home must exist" `Quick
+            t_placement_home_must_exist ] );
       ( "consistency",
         [ Alcotest.test_case "SC correctness" `Quick
             t_sequential_consistency_correct;

@@ -409,13 +409,29 @@ let run app size nprocs net net_faults node_faults cpu line_bytes
    | Some _ -> () (* the raw output block is the report's wire format *)
    | None -> Printf.printf "output:\n%s" r.phase.output);
   Printf.printf "wall cycles : %d\n" r.phase.wall_cycles;
-  Printf.printf "host        : %.3f s (%s), %.1f Mcyc/s\n"
+  (* interpreter throughput over the timed phase, and allocation per
+     simulated instruction over every instruction the nodes ran *)
+  let run_insns =
+    Array.fold_left (fun a (c : Node.counters) -> a + c.insns) 0
+      r.phase.counters
+  and all_insns =
+    Array.fold_left (fun a (n : Node.t) -> a + n.counters.insns) 0
+      r.state.State.nodes
+  and run_s =
+    Option.value ~default:0.0 (List.assoc_opt "run" perf.Shasta_obs.Perf.phases)
+  in
+  let per num den = if den > 0.0 then num /. den else 0.0 in
+  Printf.printf
+    "host        : %.3f s (%s), %.1f Mcyc/s, %.1f Minsn/s run, %.2f minor \
+     words/insn\n"
     perf.Shasta_obs.Perf.wall_s
     (String.concat ", "
        (List.map
           (fun (n, s) -> Printf.sprintf "%s %.3fs" n s)
           perf.Shasta_obs.Perf.phases))
-    (Shasta_obs.Perf.cyc_per_s perf ~sim_cycles:r.phase.wall_cycles /. 1e6);
+    (Shasta_obs.Perf.cyc_per_s perf ~sim_cycles:r.phase.wall_cycles /. 1e6)
+    (per (float_of_int run_insns) run_s /. 1e6)
+    (per perf.gc.Shasta_obs.Benchjson.minor_words (float_of_int all_insns));
   Printf.printf "messages    : %d (%d payload longwords)\n" r.phase.msgs_sent
     r.phase.payload_longs;
   (match faults with

@@ -13,16 +13,27 @@ type t = {
   cname : string;
   line_bytes : int;
   nsets : int;
+  line_shift : int; (* log2 line_bytes *)
+  set_mask : int; (* nsets - 1 *)
   tags : int array; (* -1 = empty *)
   mutable hits : int;
   mutable misses : int;
 }
 
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
+(* Power-of-two geometry only, so a probe indexes with a shift and a
+   mask instead of two divisions. *)
 let create ~name ~size_bytes ~line_bytes =
-  if size_bytes mod line_bytes <> 0 then invalid_arg "Cache.create";
+  if not (is_pow2 line_bytes && is_pow2 size_bytes && size_bytes >= line_bytes)
+  then invalid_arg "Cache.create: size and line must be powers of two";
   let nsets = size_bytes / line_bytes in
-  { cname = name; line_bytes; nsets; tags = Array.make nsets (-1);
-    hits = 0; misses = 0 }
+  { cname = name; line_bytes; nsets; line_shift = log2 line_bytes;
+    set_mask = nsets - 1; tags = Array.make nsets (-1); hits = 0; misses = 0 }
 
 let reset t =
   Array.fill t.tags 0 t.nsets (-1);
@@ -31,8 +42,8 @@ let reset t =
 
 (* Probe and fill.  Returns true on hit. *)
 let access t addr =
-  let block = addr / t.line_bytes in
-  let set = block mod t.nsets in
+  let block = addr lsr t.line_shift in
+  let set = block land t.set_mask in
   if t.tags.(set) = block then begin
     t.hits <- t.hits + 1;
     true
@@ -48,9 +59,10 @@ let access t addr =
    back (data replies, flag writes): the next program access must pay
    the miss the real machine would pay. *)
 let invalidate_range t ~addr ~len =
-  let first = addr / t.line_bytes and last = (addr + len - 1) / t.line_bytes in
+  let first = addr lsr t.line_shift
+  and last = (addr + len - 1) lsr t.line_shift in
   for block = first to last do
-    let set = block mod t.nsets in
+    let set = block land t.set_mask in
     if t.tags.(set) = block then t.tags.(set) <- -1
   done
 

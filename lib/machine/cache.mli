@@ -9,12 +9,17 @@ type t = {
   cname : string;
   line_bytes : int;
   nsets : int;
+  line_shift : int;  (** log2 [line_bytes] *)
+  set_mask : int;  (** [nsets - 1] *)
   tags : int array;
   mutable hits : int;
   mutable misses : int;
 }
 
 val create : name:string -> size_bytes:int -> line_bytes:int -> t
+(** Raises [Invalid_argument] unless [size_bytes] and [line_bytes] are
+    powers of two with [size_bytes >= line_bytes]. *)
+
 val reset : t -> unit
 
 val access : t -> int -> bool

@@ -15,22 +15,41 @@
 type t = {
   pages : (int, int array) Hashtbl.t;
   mutable allocated_pages : int;
+  (* one-entry cache in front of [pages]: the page last looked up.
+     Sound because a page, once in [pages], is never replaced or
+     removed — every bulk operation writes into the existing array. *)
+  mutable last_pno : int;
+  mutable last_page : int array;
 }
 
 let page_bytes = 8192
 let page_longs = page_bytes / 4
 
-let create () = { pages = Hashtbl.create 1024; allocated_pages = 0 }
+(* No address divides to this page number, so the cache starts empty. *)
+let no_page = min_int
+
+let create () =
+  { pages = Hashtbl.create 1024; allocated_pages = 0; last_pno = no_page;
+    last_page = [||] }
 
 let page t addr =
   let pno = addr / page_bytes in
-  match Hashtbl.find_opt t.pages pno with
-  | Some p -> p
-  | None ->
-    let p = Array.make page_longs 0 in
-    Hashtbl.add t.pages pno p;
-    t.allocated_pages <- t.allocated_pages + 1;
+  if pno = t.last_pno then t.last_page
+  else begin
+    let p =
+      (* [find], not [find_opt]: a hit allocates nothing *)
+      match Hashtbl.find t.pages pno with
+      | p -> p
+      | exception Not_found ->
+        let p = Array.make page_longs 0 in
+        Hashtbl.add t.pages pno p;
+        t.allocated_pages <- t.allocated_pages + 1;
+        p
+    in
+    t.last_pno <- pno;
+    t.last_page <- p;
     p
+  end
 
 let allocated_bytes t = t.allocated_pages * page_bytes
 
@@ -74,21 +93,27 @@ let write_quad t addr v =
   write_long_u t addr (v land 0xFFFFFFFF);
   write_long_u t (addr + 4) ((v asr 32) land 0xFFFFFFFF)
 
-(* Exact 64-bit pattern access, used for floating-point data. *)
-let read_quad_bits t addr =
+(* Exact 64-bit pattern access, used for floating-point data.  Inlined
+   so the float accessors below box neither the pattern nor the value. *)
+let[@inline] read_quad_bits t addr =
   check_align addr 8 "quadword";
   let lo = Int64.of_int (read_long_u t addr) in
   let hi = Int64.of_int (read_long_u t (addr + 4)) in
   Int64.logor (Int64.shift_left hi 32) lo
 
-let write_quad_bits t addr bits =
+let[@inline] write_quad_bits t addr bits =
   check_align addr 8 "quadword";
   write_long_u t addr Int64.(to_int (logand bits 0xFFFFFFFFL));
   write_long_u t (addr + 4)
     Int64.(to_int (logand (shift_right_logical bits 32) 0xFFFFFFFFL))
 
-let read_float t addr = Int64.float_of_bits (read_quad_bits t addr)
-let write_float t addr v = write_quad_bits t addr (Int64.bits_of_float v)
+let[@inline] read_float t addr = Int64.float_of_bits (read_quad_bits t addr)
+let[@inline] write_float t addr v = write_quad_bits t addr (Int64.bits_of_float v)
+
+(* The same through a float-array slot, so the value never crosses a
+   call boxed: the interpreter's FP register file is such an array. *)
+let load_float t addr fa i = fa.(i) <- read_float t addr
+let store_float t addr fa i = write_float t addr fa.(i)
 
 (* Aligned quadword load used by the check code (ldq_u ignores the low
    three address bits, as on the Alpha). *)
@@ -97,7 +122,8 @@ let read_quad_unaligned t addr = read_quad t (addr land lnot 7)
 (* Store byte [v] at every address in [addr, addr+len): whole pages
    with one [Array.fill], whole longwords at the range edges with
    [write_long_u], only sub-longword edge bytes with [write_byte].
-   Materializes exactly the pages a byte-by-byte loop would. *)
+   Materializes exactly the pages a byte-by-byte loop would, and fills
+   an existing page in place (the last-page cache may hold it). *)
 let fill_bytes t ~addr ~len v =
   let v = v land 0xFF in
   let pat = v * 0x01010101 in
@@ -130,8 +156,9 @@ let fill_bytes t ~addr ~len v =
   done
 
 (* Copy every allocated page of [src] overlapping [addr, addr+len) into
-   [dst] (page-aligned range).  Used for process-creation-time copying
-   of the static data area. *)
+   [dst] (page-aligned range), blitting into [dst]'s own page arrays so
+   its last-page cache stays valid.  Used for process-creation-time
+   copying of the static data area. *)
 let copy_pages ~src ~dst ~addr ~len =
   let to_copy =
     Hashtbl.fold

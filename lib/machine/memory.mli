@@ -51,6 +51,13 @@ val write_quad_bits : t -> int -> int64 -> unit
 val read_float : t -> int -> float
 val write_float : t -> int -> float -> unit
 
+val load_float : t -> int -> float array -> int -> unit
+(** [load_float m addr fa i] sets [fa.(i)] to [read_float m addr]
+    without boxing the value (the interpreter's FP register file). *)
+
+val store_float : t -> int -> float array -> int -> unit
+(** [store_float m addr fa i] is [write_float m addr fa.(i)], unboxed. *)
+
 (** {1 Bulk operations} *)
 
 val fill_bytes : t -> addr:int -> len:int -> int -> unit

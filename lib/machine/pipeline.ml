@@ -42,10 +42,70 @@ let alpha_21164 =
     fp_latency = 4; fp_div_latency = 22; fp_branch_cost = 3;
     mispredict_cycles = 5; call_cycles = 2 }
 
+(* Static prediction outcome of a branch as issued: its direction and
+   whether it was taken.  Constant constructors, so passing one costs
+   nothing on the per-instruction path. *)
 type branch_info =
   | B_none
-  | B_taken of { backward : bool }
-  | B_not_taken of { backward : bool }
+  | B_taken_forward
+  | B_taken_backward
+  | B_not_taken_forward
+  | B_not_taken_backward
+
+(* Result-latency and control-cost classes, resolved against the
+   [config] at issue time (the decoded image is config-independent). *)
+type latency = L_int | L_load | L_shift | L_mul | L_div | L_fp | L_fp_div
+type control = C_none | C_fp_branch | C_call
+
+(* What issue needs of an instruction, decoded once per image.  The
+   register sets come from [Insn.uses]/[fuses]/[def]/[fdef], so the
+   operand tables stay spelled once, in [Insn]. *)
+type decoded = {
+  srcs : int array; (* integer registers read, r31 (always ready) dropped *)
+  fsrcs : int array; (* FP registers read, f31 dropped *)
+  dst : int; (* integer register written; [no_reg] for none *)
+  fdst : int; (* FP register written; [no_reg] for none *)
+  mem : bool;
+  store : bool;
+  latency : latency;
+  control : control;
+}
+
+(* Register 31 reads as zero and is never written. *)
+let no_reg = 31
+
+let latency_of (i : Insn.t) =
+  match i with
+  | Ldl _ | Ldq _ | Ldq_u _ | Ldt _ -> L_load
+  | Opi ((Sll | Srl | Sra), _, _, _) -> L_shift
+  | Opi (Mulq, _, _, _) | Opi (Mull, _, _, _) -> L_mul
+  | Opi ((Divq | Remq), _, _, _) -> L_div
+  | Opf ((Divt | Sqrtt), _, _, _) -> L_fp_div
+  | Opf _ | Cvtqt _ | Cvttq _ | Fmov _ -> L_fp
+  | _ -> L_int
+
+let control_of (i : Insn.t) =
+  match i with
+  | Fbeq _ | Fbne _ -> C_fp_branch
+  | Jsr _ | Ret -> C_call
+  | _ -> C_none
+
+let decode (i : Insn.t) =
+  let regs l = Array.of_list (List.filter (fun r -> r < no_reg) l) in
+  let reg = Option.value ~default:no_reg in
+  { srcs = regs (Insn.uses i);
+    fsrcs = regs (Insn.fuses i);
+    dst = reg (Insn.def i);
+    fdst = reg (Insn.fdef i);
+    mem = Insn.is_mem i;
+    store = Insn.is_store i;
+    latency = latency_of i;
+    control = control_of i }
+
+(* The data address passed to [issue] for an instruction that touches
+   no memory.  No real access uses it: every load and store is at least
+   4-aligned (ldq_u clears the low bits itself). *)
+let no_access = -1
 
 type t = {
   config : config;
@@ -90,27 +150,30 @@ let advance_to t when_ =
     t.mem_used <- false
   end
 
-let result_latency config (i : Insn.t) =
-  match i with
-  | Ldl _ | Ldq _ | Ldq_u _ | Ldt _ -> config.load_latency
-  | Opi ((Sll | Srl | Sra), _, _, _) -> config.shift_latency
-  | Opi (Mulq, _, _, _) | Opi (Mull, _, _, _) -> config.mul_latency
-  | Opi ((Divq | Remq), _, _, _) -> config.div_latency
-  | Opf ((Divt | Sqrtt), _, _, _) -> config.fp_div_latency
-  | Opf _ | Cvtqt _ | Cvttq _ | Fmov _ -> config.fp_latency
-  | _ -> config.int_latency
+let result_latency config = function
+  | L_int -> config.int_latency
+  | L_load -> config.load_latency
+  | L_shift -> config.shift_latency
+  | L_mul -> config.mul_latency
+  | L_div -> config.div_latency
+  | L_fp -> config.fp_latency
+  | L_fp_div -> config.fp_div_latency
+
+let control_cost config = function
+  | C_none -> 0
+  | C_fp_branch -> config.fp_branch_cost
+  | C_call -> config.call_cycles
 
 (* Static prediction: backward branches predicted taken, forward
    branches predicted not-taken. *)
-let mispredicted info =
-  match info with
-  | B_none -> false
-  | B_taken { backward } -> not backward
-  | B_not_taken { backward } -> backward
+let mispredicted = function
+  | B_taken_forward | B_not_taken_backward -> true
+  | B_none | B_taken_backward | B_not_taken_forward -> false
 
-(* Issue one instruction.  [iaddr] is its text address (for the I-cache),
-   [maddr] the data address of a memory access (for the D-cache). *)
-let issue t (i : Insn.t) ~iaddr ~maddr ~branch =
+(* Issue one decoded instruction.  [iaddr] is its text address (for the
+   I-cache), [maddr] the data address of a memory access (for the
+   D-cache), or [no_access].  Allocates nothing. *)
+let issue t d ~iaddr ~maddr ~branch =
   let c = t.config in
   t.insns <- t.insns + 1;
   (* instruction fetch *)
@@ -121,10 +184,14 @@ let issue t (i : Insn.t) ~iaddr ~maddr ~branch =
    | None -> ());
   (* wait for source operands *)
   let ready = ref t.cycle in
-  List.iter (fun r -> if r < 31 then ready := max !ready t.ireg_ready.(r))
-    (Insn.uses i);
-  List.iter (fun f -> if f < 31 then ready := max !ready t.freg_ready.(f))
-    (Insn.fuses i);
+  for k = 0 to Array.length d.srcs - 1 do
+    let r = t.ireg_ready.(d.srcs.(k)) in
+    if r > !ready then ready := r
+  done;
+  for k = 0 to Array.length d.fsrcs - 1 do
+    let r = t.freg_ready.(d.fsrcs.(k)) in
+    if r > !ready then ready := r
+  done;
   advance_to t !ready;
   (* structural constraints: issue width, single memory port *)
   if t.slots_used >= c.issue_width then begin
@@ -132,38 +199,30 @@ let issue t (i : Insn.t) ~iaddr ~maddr ~branch =
     t.slots_used <- 0;
     t.mem_used <- false
   end;
-  if Insn.is_mem i && t.mem_used then begin
+  if d.mem && t.mem_used then begin
     t.cycle <- t.cycle + 1;
     t.slots_used <- 0;
     t.mem_used <- false
   end;
   t.slots_used <- t.slots_used + 1;
-  if Insn.is_mem i then t.mem_used <- true;
+  if d.mem then t.mem_used <- true;
   (* data cache *)
   let dextra =
-    match (maddr, t.caches) with
-    | Some a, Some h -> Cache.daccess h a
-    | _ -> 0
+    if maddr = no_access then 0
+    else match t.caches with Some h -> Cache.daccess h maddr | None -> 0
   in
   (* record result availability *)
-  let lat = result_latency c i + dextra in
-  (match Insn.def i with
-   | Some d when d < 31 -> t.ireg_ready.(d) <- t.cycle + lat
-   | _ -> ());
-  (match Insn.fdef i with
-   | Some d when d < 31 -> t.freg_ready.(d) <- t.cycle + lat
-   | _ -> ());
+  let lat = result_latency c d.latency + dextra in
+  if d.dst <> no_reg then t.ireg_ready.(d.dst) <- t.cycle + lat;
+  if d.fdst <> no_reg then t.freg_ready.(d.fdst) <- t.cycle + lat;
   (* stores that miss stall the single memory port *)
-  if Insn.is_store i && dextra > 0 then stall t dextra;
+  if d.store && dextra > 0 then stall t dextra;
   (* control flow *)
-  (match i with
-   | Fbeq _ | Fbne _ -> stall t c.fp_branch_cost
-   | Jsr _ | Ret -> stall t c.call_cycles
-   | _ -> ());
+  stall t (control_cost c d.control);
   if mispredicted branch then stall t c.mispredict_cycles
   else
     match branch with
-    | B_taken _ ->
+    | B_taken_backward ->
       (* a taken branch ends the issue group *)
       t.cycle <- t.cycle + 1;
       t.slots_used <- 0;

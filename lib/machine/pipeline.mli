@@ -30,8 +30,40 @@ val alpha_21164 : config
 
 type branch_info =
   | B_none
-  | B_taken of { backward : bool }
-  | B_not_taken of { backward : bool }
+  | B_taken_forward
+  | B_taken_backward
+  | B_not_taken_forward
+  | B_not_taken_backward
+(** How a branch issued: taken or not, and whether its target lies
+    backward (static prediction: backward taken, forward not-taken). *)
+
+type latency = L_int | L_load | L_shift | L_mul | L_div | L_fp | L_fp_div
+(** Result-latency class, resolved against the [config] at issue. *)
+
+type control = C_none | C_fp_branch | C_call
+(** Extra control-flow cost class (FP branch resolution, call/return). *)
+
+type decoded = {
+  srcs : int array;  (** integer registers read, without r31 *)
+  fsrcs : int array;  (** FP registers read, without f31 *)
+  dst : int;  (** integer register written, or [no_reg] *)
+  fdst : int;  (** FP register written, or [no_reg] *)
+  mem : bool;  (** [Insn.is_mem] *)
+  store : bool;  (** [Insn.is_store] *)
+  latency : latency;
+  control : control;
+}
+(** What {!issue} needs of one instruction, computed once per image
+    from [Insn.uses]/[fuses]/[def]/[fdef]. *)
+
+val no_reg : int
+(** 31: register 31 reads as zero and is never written. *)
+
+val decode : Shasta_isa.Insn.t -> decoded
+
+val no_access : int
+(** The [maddr] of an instruction that touches no data memory (-1; no
+    real access is at an unaligned address). *)
 
 type t
 
@@ -49,12 +81,9 @@ val advance_to : t -> int -> unit
 (** Advance to an absolute cycle (message arrival); never goes back. *)
 
 val issue :
-  t ->
-  Shasta_isa.Insn.t ->
-  iaddr:int ->
-  maddr:int option ->
-  branch:branch_info ->
-  unit
-(** Issue one instruction: waits for source operands (scoreboard),
-    respects issue width and the single memory port, charges I/D cache
-    misses, records result latency, and applies branch costs. *)
+  t -> decoded -> iaddr:int -> maddr:int -> branch:branch_info -> unit
+(** Issue one decoded instruction: waits for source operands
+    (scoreboard), respects issue width and the single memory port,
+    charges I/D cache misses, records result latency, and applies
+    branch costs.  [maddr] is the data address, or [no_access].
+    Allocates nothing. *)

@@ -54,6 +54,17 @@ let add t ~node name by =
 
 let incr t ~node name = add t ~node name 1
 
+(* An interned counter for hot paths: the name is looked up once, on
+   the first bump — so a counter still registers when first counted,
+   as with [incr] — and every later bump is an array index. *)
+type handle = { reg : t; hname : string; mutable cells : int array }
+
+let handle t name = { reg = t; hname = name; cells = [||] }
+
+let bump h ~node =
+  if Array.length h.cells = 0 then h.cells <- counter_cells h.reg h.hname;
+  h.cells.(node) <- h.cells.(node) + 1
+
 let counter t name node =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c.(node)

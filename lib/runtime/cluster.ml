@@ -79,7 +79,8 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
       crashed_addr;
       record_inputs = false;
       inputs_rev = [];
-      fault_queue = [] }
+      fault_queue = [];
+      polls = Shasta_obs.Metrics.handle (Obs.metrics config.obs) Obs.c_polls }
   in
   (* Wire the interconnect and cache-model taps into the observability
      subsystem: every network send/delivery becomes a typed event,
@@ -125,15 +126,19 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
            { dst; kind; retx = x.retx; backoff = x.backoff;
              duplicated = x.duplicated; reordered = x.reordered;
              timed_out = x.timed_out }));
+  let miss_counter name = Shasta_obs.Metrics.handle (Obs.metrics obs) name in
+  let l1i_misses = miss_counter "cache.l1i.misses"
+  and l1d_misses = miss_counter "cache.l1d.misses"
+  and l2_misses = miss_counter "cache.l2.misses" in
   Array.iter
     (fun (n : Node.t) ->
-      n.caches.on_miss <-
-        (fun (c : Cache.t) ->
-          Obs.incr obs ~node:n.id
-            (match c.cname with
-             | "l1i" -> "cache.l1i.misses"
-             | "l1d" -> "cache.l1d.misses"
-             | _ -> "cache.l2.misses")))
+      let h = n.caches in
+      h.on_miss <-
+        (fun c ->
+          Shasta_obs.Metrics.bump ~node:n.id
+            (if c == h.l1i then l1i_misses
+             else if c == h.l1d then l1d_misses
+             else l2_misses)))
     nodes;
   Array.iter
     (fun (n : Node.t) ->
@@ -318,23 +323,25 @@ let run_until_done ?(max_events = 2_000_000_000) (state : State.t) =
   let finished () =
     Array.for_all
       (fun (n : Node.t) ->
-        n.status = Node.Finished || n.status = Node.Crashed)
+        match n.status with
+        | Node.Finished | Node.Crashed -> true
+        | Node.Running | Node.Waiting _ -> false)
       state.nodes
     && Shasta_network.Network.in_flight state.net = 0
   in
   while not (finished ()) do
     incr events;
     if !events > max_events then raise (Deadlock "event budget exhausted");
-    (* pick the node with the earliest next event *)
+    (* pick the node with the earliest next event (a loop, not a
+       closure over the refs, so picking allocates nothing) *)
     let best = ref (-1) and best_t = ref max_int in
-    Array.iter
-      (fun (n : Node.t) ->
-        let t = next_event_time state n in
-        if t < !best_t then begin
-          best_t := t;
-          best := n.id
-        end)
-      state.nodes;
+    for i = 0 to Array.length state.nodes - 1 do
+      let t = next_event_time state state.nodes.(i) in
+      if t < !best_t then begin
+        best_t := t;
+        best := i
+      end
+    done;
     heartbeat state next_hb ~now:(min !best_t (next_fault_time state));
     (* a scheduled fault fires once simulated time reaches it — i.e. no
        node has an earlier event.  The [best < 0] arm matters: before a

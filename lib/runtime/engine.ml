@@ -437,7 +437,7 @@ let batch_end state (node : Node.t) =
 let poll state (node : Node.t) =
   node.counters.polls <- node.counters.polls + 1;
   (* polls are far too frequent to stream as events; registry only *)
-  Obs.incr state.State.config.obs ~node:node.id Obs.c_polls;
+  Shasta_obs.Metrics.bump state.State.polls ~node:node.id;
   charge node state.State.config.costs.poll_cycles;
   drain state node
 

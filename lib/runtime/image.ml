@@ -1,12 +1,15 @@
 (* Frozen executable: label and call targets resolved to indices so the
-   interpreter's hot loop never touches a hash table, plus text-layout
-   byte offsets for the I-cache model. *)
+   interpreter's hot loop never touches a hash table, each instruction
+   predecoded for the timing model, plus text-layout byte offsets for
+   the I-cache model. *)
 
 open Shasta_isa
 
 type fproc = {
   fname : string;
   code : Insn.t array;
+  decoded : Shasta_machine.Pipeline.decoded array;
+      (* [code.(i)] as the pipeline issues it, decoded once *)
   target : int array; (* branch target index, or -1 *)
   callee : int array; (* callee procedure index for Jsr, or -1 *)
   offset : int array; (* byte offset of each instruction in the text *)
@@ -70,7 +73,9 @@ let freeze (prog : Program.t) =
             | _ -> ())
           code;
         next_base := (base + !off + 63) land lnot 63;
-        { fname = p.pname; code; target; callee; offset; base; src })
+        { fname = p.pname; code;
+          decoded = Array.map Shasta_machine.Pipeline.decode code;
+          target; callee; offset; base; src })
       prog.procs
     |> Array.of_list
   in

@@ -116,6 +116,8 @@ type t = {
      event) once the timed phase starts; the scheduler fires them when
      simulated time reaches them *)
   mutable fault_queue : (int * Nodefaults.event) list;
+  polls : Shasta_obs.Metrics.handle;
+      (* the registry's poll counter, interned: bumped on every poll *)
 }
 
 let line_bytes t = 1 lsl t.config.line_shift

@@ -109,6 +109,32 @@ let test_copy_sub () =
   Alcotest.(check bool) "csv header" true
     (String.length csv >= 17 && String.sub csv 0 17 = "metric,node,value")
 
+(* An interned handle counts exactly like [incr], registers its counter
+   only on the first bump (an unbumped one stays out of the dumps), and
+   keeps counting into the live registry across snapshots. *)
+let test_handle () =
+  let by_name = Metrics.create ~nprocs:2 and by_handle = Metrics.create ~nprocs:2 in
+  let hot = Metrics.handle by_handle "hot" in
+  let cold = Metrics.handle by_handle "cold" in
+  Metrics.incr by_name ~node:0 "first";
+  Metrics.incr by_handle ~node:0 "first";
+  Alcotest.(check (list string)) "unbumped handle unregistered" [ "first" ]
+    (Metrics.counter_names by_handle);
+  List.iter
+    (fun node ->
+      Metrics.incr by_name ~node "hot";
+      Metrics.bump hot ~node)
+    [ 1; 0; 1; 1 ];
+  let snap = Metrics.copy by_handle in
+  Metrics.bump hot ~node:0;
+  Metrics.incr by_name ~node:0 "hot";
+  ignore cold;
+  Alcotest.(check string) "same dump" (Metrics.to_csv by_name)
+    (Metrics.to_csv by_handle);
+  Alcotest.(check (list string)) "same order" (Metrics.counter_names by_name)
+    (Metrics.counter_names by_handle);
+  Alcotest.(check int) "snapshot unaffected" 1 (Metrics.counter snap "hot" 0)
+
 (* --- chrome trace sink ---------------------------------------------- *)
 
 let test_chrome_sink () =
@@ -221,7 +247,8 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "histogram buckets" `Quick
             test_histogram_buckets;
-          Alcotest.test_case "copy/sub deltas" `Quick test_copy_sub ] );
+          Alcotest.test_case "copy/sub deltas" `Quick test_copy_sub;
+          Alcotest.test_case "interned handles" `Quick test_handle ] );
       ( "properties",
         [ Test_support.Support.qtest "event stream matches Network.stats" ~count:20
             params_gen prop_stream_consistent;

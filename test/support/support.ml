@@ -89,3 +89,20 @@ let golden_runs =
         Shasta_apps.Sht.program ~cfg:Shasta_apps.Apps.sht_test_cfg
           ~wl:Shasta_apps.Apps.sht_test_wl () )
   ]
+
+(* Golden workloads run over the faulty wire ([Network.standard]: drops,
+   duplicates and reorders repaired by the reliable-delivery sublayer),
+   so the retransmission timing and the fault events are pinned too.
+   A short write-heavy KV run at P=8 over shared keys keeps the digest
+   list small while every node contends for the same buckets. *)
+let lossy_golden_runs =
+  [ ( "sht8-lossy",
+      8,
+      fun () ->
+        Shasta_apps.Sht.program ~cfg:Shasta_apps.Apps.sht_test_cfg
+          ~wl:
+            (Shasta_workload.Workload.spec ~nkeys:64 ~ops:64
+               ~mix:Shasta_workload.Workload.A ~quanta:32 ())
+          () ) ]
+
+let lossy_faults = Shasta_network.Network.standard

@@ -62,6 +62,10 @@ let profile_of_string = function
   | "ideal" -> ideal
   | s -> invalid_arg ("Network.profile_of_string: " ^ s)
 
+(* [max] at type int: the polymorphic [max] goes through the runtime's
+   generic comparison on every frame. *)
+let imax (a : int) b = if a >= b then a else b
+
 (* ------------------------------------------------------------------ *)
 (* Fault model                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -206,11 +210,11 @@ module Sublayer = struct
     else begin
       let rec flush expected last acc = function
         | (s, a, p) :: rest when s = expected ->
-          let t = max a last in
+          let t = imax a last in
           flush (expected + 1) t ((t, p) :: acc) rest
         | held -> ({ expected; last_deliver = last; held }, List.rev acc)
       in
-      let t = max arrival rx.last_deliver in
+      let t = imax arrival rx.last_deliver in
       flush (fseq + 1) t [ (t, payload) ] rx.held
     end
 
@@ -228,25 +232,31 @@ module Sublayer = struct
      attempt through; the coins drawn before that point are the same. *)
   let max_attempts = 16
 
+  (* Dropped attempts before the first survivor (or before the cap):
+     attempt [k] is lost with probability [f.drop]. *)
+  let rec dropped f rng ~cap k =
+    if k < cap && Random.State.float rng 1.0 < f.drop then
+      dropped f rng ~cap (k + 1)
+    else k
+
+  (* Total timeout wait before attempt [retx]: each drop's timeout
+     doubles the last, capped at [2^10] times the base. *)
+  let rec backoff_from ~rto ~retx k acc =
+    if k >= retx then acc
+    else backoff_from ~rto ~retx (k + 1) (acc + (rto * (1 lsl min k 10)))
+
   let tx_plan_bounded (f : faults) ~max_retx rng ~now ~flight ~rto =
     let cap = if max_retx > 0 then min max_retx (max_attempts - 1)
       else max_attempts - 1 in
-    let rec attempts k start backoff =
-      if k < cap && Random.State.float rng 1.0 < f.drop then
-        let timeout = rto * (1 lsl min k 10) in
-        attempts (k + 1) (start + timeout) (backoff + timeout)
-      else if k >= cap && max_retx > 0 && k = cap
-              && Random.State.float rng 1.0 < f.drop then
-        (* the final allowed attempt was itself dropped: give up *)
-        (k + 1, start, backoff, true)
-      else (k, start, backoff, false)
-    in
-    let retx, start, backoff, timed_out = attempts 0 now 0 in
-    if timed_out then
-      (None, None, { retx; backoff; duplicated = false; reordered = false;
-                     timed_out = true })
+    let retx = dropped f rng ~cap 0 in
+    let backoff = backoff_from ~rto ~retx 0 0 in
+    if retx = cap && max_retx > 0 && Random.State.float rng 1.0 < f.drop
+    then
+      (* the final allowed attempt was itself dropped: give up *)
+      (None, None, { retx = retx + 1; backoff; duplicated = false;
+                     reordered = false; timed_out = true })
     else begin
-      let arrival = start + flight in
+      let arrival = now + backoff + flight in
       let arrival =
         if f.delay > 0.0 && Random.State.float rng 1.0 < f.delay then
           arrival + f.delay_cycles
@@ -254,13 +264,18 @@ module Sublayer = struct
       in
       let duplicated = f.dup > 0.0 && Random.State.float rng 1.0 < f.dup in
       let dup_arrival =
-        if duplicated then Some (arrival + max 1 (flight / 2)) else None
+        if duplicated then Some (arrival + imax 1 (flight / 2)) else None
       in
       let reordered =
         f.reorder > 0.0 && Random.State.float rng 1.0 < f.reorder
       in
-      (Some arrival, dup_arrival,
-       { retx; backoff; duplicated; reordered; timed_out = false })
+      (* an unperturbed frame reports the shared [clean_xmit] itself, so
+         callers can test cleanliness by physical equality *)
+      let x =
+        if retx = 0 && (not duplicated) && not reordered then clean_xmit
+        else { retx; backoff; duplicated; reordered; timed_out = false }
+      in
+      (Some arrival, dup_arrival, x)
     end
 end
 
@@ -419,9 +434,11 @@ let push t ~src ~dst ~deliver msg =
 let refresh_earliest t ~dst =
   let best = ref max_int in
   for src = 0 to t.nprocs - 1 do
-    match Queue.peek_opt t.chans.(chan t ~src ~dst) with
-    | Some q -> if q.deliver < !best then best := q.deliver
-    | None -> ()
+    let q = t.chans.(chan t ~src ~dst) in
+    if not (Queue.is_empty q) then begin
+      let d = (Queue.peek q).deliver in
+      if d < !best then best := d
+    end
   done;
   t.earliest.(dst) <- !best
 
@@ -432,13 +449,17 @@ let effective_rto t =
     let p = t.profile in
     4 * (p.send_overhead + p.wire_latency + p.recv_overhead)
 
+(* Arrival of a frame the sublayer gave up on (no real arrival is
+   negative). *)
+let abandoned = -1
+
 (* Send a message; returns the time at which the sender is done with the
    send (the caller charges this to the sending node). *)
 let send t ~src ~dst ~now ~payload_longs msg =
   let p = t.profile in
   let c = chan t ~src ~dst in
   let flight = p.wire_latency + (p.per_longword * payload_longs) in
-  t.last_activity.(src) <- max t.last_activity.(src) now;
+  if now > t.last_activity.(src) then t.last_activity.(src) <- now;
   if t.dead.(dst) then begin
     (* the receiver has been declared crashed: nothing will ever
        acknowledge, so the sublayer's retransmissions are futile — drop
@@ -453,64 +474,63 @@ let send t ~src ~dst ~now ~payload_longs msg =
     now + p.send_overhead
   end
   else begin
-    (* when the frame reaches the receiver; [None] if the sublayer gave
-       up on it *)
+    (* when the frame reaches the receiver; [abandoned] if the sublayer
+       gave up on it *)
     let arrival =
       match t.faults with
       | None ->
         (* the paper's reliable wire: point-to-point FIFO *)
-        Some (now + p.send_overhead + flight)
-      | Some f ->
+        now + p.send_overhead + flight
+      | Some f -> (
         (* unreliable wire under the reliable sublayer: plan the frame's
            transmission (drops retransmitted with backoff, optional extra
            delay and duplication) *)
-        let arrival, dup_arrival, x =
+        let arrival, _, x =
           Sublayer.tx_plan_bounded f ~max_retx:f.max_retx t.rngs.(c)
             ~now:(now + p.send_overhead) ~flight ~rto:(effective_rto t)
         in
-        (* duplicated copies reach the receiver and are discarded there *)
-        let dups = match dup_arrival with Some _ -> 1 | None -> 0 in
-        let s = t.fstats in
-        t.fstats <-
-          { drops = s.drops + x.retx;
-            dups = s.dups + dups;
-            retxs = s.retxs + x.retx;
-            reorders = (s.reorders + if x.reordered then 1 else 0);
-            backoff_cycles = s.backoff_cycles + x.backoff;
-            timeouts = (s.timeouts + if x.timed_out then 1 else 0) };
-        if x <> clean_xmit then t.on_fault ~src ~dst ~now x msg;
+        if x != clean_xmit then begin
+          (* duplicated copies reach the receiver and are discarded
+             there *)
+          let s = t.fstats in
+          t.fstats <-
+            { drops = s.drops + x.retx;
+              dups = (s.dups + if x.duplicated then 1 else 0);
+              retxs = s.retxs + x.retx;
+              reorders = (s.reorders + if x.reordered then 1 else 0);
+              backoff_cycles = s.backoff_cycles + x.backoff;
+              timeouts = (s.timeouts + if x.timed_out then 1 else 0) };
+          t.on_fault ~src ~dst ~now x msg
+        end;
         (* a non-reordered frame respects the raw wire's FIFO point; a
            reordered one may overtake it (resequencing restores order).
-           An abandoned frame ([None]: retransmission budget exhausted)
-           is never offered, so the channel's sequence space is
-           untouched and later frames flow past the loss. *)
-        Option.map
-          (fun a ->
-            if x.reordered then a
-            else begin
-              let a = max a t.wire_last.(c) in
-              t.wire_last.(c) <- a;
-              a
-            end)
-          arrival
+           An abandoned frame (retransmission budget exhausted) is never
+           offered, so the channel's sequence space is untouched and
+           later frames flow past the loss. *)
+        match arrival with
+        | None -> abandoned
+        | Some a when x.reordered -> a
+        | Some a ->
+          let a = imax a t.wire_last.(c) in
+          t.wire_last.(c) <- a;
+          a)
     in
-    (match arrival with
-     | None -> ()
-     | Some arrival ->
-       (* frames enter the receiver in sequence order (sends on a channel
-          are issued in order), so each is delivered at once, at its
-          arrival clamped to the channel's previous delivery *)
-       let rx = t.rxs.(c) in
-       (match
-          Sublayer.rx_offer rx ~fseq:(Sublayer.rx_expected rx) ~arrival msg
-        with
-        | rx, [ (deliver, msg) ] ->
-          t.rxs.(c) <- rx;
-          push t ~src ~dst ~deliver msg
-        | _ -> assert false);
-       t.sent <- t.sent + 1;
-       t.payload_longs <- t.payload_longs + payload_longs;
-       t.on_send ~src ~dst ~now msg);
+    if arrival <> abandoned then begin
+      (* frames enter the receiver in sequence order (sends on a channel
+         are issued in order), so each is delivered at once, at its
+         arrival clamped to the channel's previous delivery *)
+      let rx = t.rxs.(c) in
+      (match
+         Sublayer.rx_offer rx ~fseq:(Sublayer.rx_expected rx) ~arrival msg
+       with
+       | rx, [ (deliver, msg) ] ->
+         t.rxs.(c) <- rx;
+         push t ~src ~dst ~deliver msg
+       | _ -> assert false);
+      t.sent <- t.sent + 1;
+      t.payload_longs <- t.payload_longs + payload_longs;
+      t.on_send ~src ~dst ~now msg
+    end;
     now + p.send_overhead
   end
 
@@ -536,23 +556,29 @@ let recv t ~dst ~now =
   let e = t.earliest.(dst) in
   if e = max_int || e > now then None
   else begin
-    let best = ref None in
+    (* the due head with the least (deliver, seq) *)
+    let best = ref (-1) and bd = ref max_int and bs = ref max_int in
     for src = 0 to t.nprocs - 1 do
-      match Queue.peek_opt t.chans.(chan t ~src ~dst) with
-      | Some q when q.deliver <= now ->
-        (match !best with
-         | Some (_, bq) when (bq.deliver, bq.seq) <= (q.deliver, q.seq) -> ()
-         | _ -> best := Some (src, q))
-      | _ -> ()
+      let q = t.chans.(chan t ~src ~dst) in
+      if not (Queue.is_empty q) then begin
+        let h = Queue.peek q in
+        if h.deliver <= now
+           && (h.deliver < !bd || (h.deliver = !bd && h.seq < !bs))
+        then begin
+          best := src;
+          bd := h.deliver;
+          bs := h.seq
+        end
+      end
     done;
-    match !best with
-    | Some (src, q) ->
-      ignore (Queue.pop t.chans.(chan t ~src ~dst));
-      t.in_flight <- t.in_flight - 1;
-      refresh_earliest t ~dst;
-      t.on_recv ~src ~dst ~now:q.deliver q.msg;
-      Some (q.deliver, q.msg)
-    | None -> assert false (* some head is due: [e] <= [now] *)
+    (* some head is due: [e] <= [now] *)
+    assert (!best >= 0);
+    let src = !best in
+    let q = Queue.pop t.chans.(chan t ~src ~dst) in
+    t.in_flight <- t.in_flight - 1;
+    refresh_earliest t ~dst;
+    t.on_recv ~src ~dst ~now:q.deliver q.msg;
+    Some (q.deliver, q.msg)
   end
 
 let in_flight t = t.in_flight

@@ -61,9 +61,11 @@ type handle = { reg : t; hname : string; mutable cells : int array }
 
 let handle t name = { reg = t; hname = name; cells = [||] }
 
-let bump h ~node =
+let bump_by h ~node by =
   if Array.length h.cells = 0 then h.cells <- counter_cells h.reg h.hname;
-  h.cells.(node) <- h.cells.(node) + 1
+  h.cells.(node) <- h.cells.(node) + by
+
+let bump h ~node = bump_by h ~node 1
 
 let counter t name node =
   match Hashtbl.find_opt t.counters name with
@@ -91,18 +93,37 @@ let hist_cells t ?(bounds = default_bounds) name =
     t.hist_order <- name :: t.hist_order;
     h
 
-let bucket_of bounds v =
-  let n = Array.length bounds in
-  let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
-  go 0
+(* First bucket whose bound is >= [v] (the overflow bucket past the
+   last bound), by binary search over the increasing bounds. *)
+let rec bucket_in bounds v lo hi =
+  (* the answer lies in [lo, hi] *)
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if v <= bounds.(mid) then bucket_in bounds v lo mid
+    else bucket_in bounds v (mid + 1) hi
 
-let observe t ?bounds ~node name v =
-  let h = (hist_cells t ?bounds name).(node) in
+let bucket_of bounds v = bucket_in bounds v 0 (Array.length bounds)
+
+let observe_cell h v =
   let b = bucket_of h.bounds v in
   h.counts.(b) <- h.counts.(b) + 1;
   h.n <- h.n + 1;
   h.sum <- h.sum + v;
   if v > h.hmax then h.hmax <- v
+
+let observe t ?bounds ~node name v =
+  observe_cell (hist_cells t ?bounds name).(node) v
+
+(* An interned histogram (default bounds), the [handle] of histograms:
+   registered on its first observation, an array index after that. *)
+type hist_handle = { hreg : t; hhname : string; mutable hcells : hist array }
+
+let hist_handle t name = { hreg = t; hhname = name; hcells = [||] }
+
+let record h ~node v =
+  if Array.length h.hcells = 0 then h.hcells <- hist_cells h.hreg h.hhname;
+  observe_cell h.hcells.(node) v
 
 let hist t name node = (hist_cells t name).(node)
 

@@ -50,9 +50,9 @@ let set_page_block t ~page ~block_bytes =
 let page_of t addr = addr / t.page_bytes
 
 let block_bytes_at t addr =
-  match Hashtbl.find_opt t.block_of_page (page_of t addr) with
-  | Some b -> b
-  | None -> t.line_bytes
+  match Hashtbl.find t.block_of_page (page_of t addr) with
+  | b -> b
+  | exception Not_found -> t.line_bytes
 
 (* Base address of the block containing [addr]. *)
 let block_base t addr =

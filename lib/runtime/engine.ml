@@ -154,23 +154,18 @@ let rec step state (node : Node.t) (input : T.input) =
    request over the sharer set — go to the interconnect as one
    multicast (timing-identical to the individual sends) and feed the
    dir.fanout histogram with the run's width. *)
-and inv_send (a : T.action) =
-  match a with
-  | T.A_send
-      ({ msg = { Message.kind = Message.Coh (Message.Inv _); _ }; _ } as s) ->
-    Some (s.dst, s.msg)
-  | _ -> None
-
 and apply_all state (node : Node.t) acts =
   match acts with
   | [] -> ()
-  | a :: _ when inv_send a <> None ->
+  | T.A_send { msg = { Message.kind = Message.Coh (Message.Inv _); _ }; _ }
+    :: _ ->
     let rec split acc = function
-      | a :: rest as l -> (
-        match inv_send a with
-        | Some pair -> split (pair :: acc) rest
-        | None -> (List.rev acc, l))
-      | [] -> (List.rev acc, [])
+      | T.A_send
+          ({ msg = { Message.kind = Message.Coh (Message.Inv _); _ }; _ }
+           as s)
+        :: rest ->
+        split ((s.dst, s.msg) :: acc) rest
+      | l -> (List.rev acc, l)
     in
     let pairs, rest = split [] acts in
     let now = Pipeline.cycle node.pipe in
@@ -179,7 +174,7 @@ and apply_all state (node : Node.t) acts =
         ~payload_longs:Message.payload_longs pairs
     in
     charge node (done_at - now);
-    Obs.observe state.State.config.obs ~node:node.id Obs.h_fanout
+    Obs.observe_fanout state.State.config.obs ~node:node.id
       (List.length pairs);
     apply_all state node rest
   | a :: rest ->
@@ -206,7 +201,7 @@ and apply state (node : Node.t) (a : T.action) =
     (* local delivery: the core charged the handler cost and handled the
        message inline; it never reaches the network taps, so count it
        here *)
-    Obs.incr state.State.config.obs ~node:node.id Obs.c_msg_local
+    Obs.count_local state.State.config.obs ~node:node.id
   | T.A_mem op -> apply_mem state node op
   | T.A_block w ->
     node.status <- Waiting w;
@@ -261,9 +256,7 @@ and apply_mem state (node : Node.t) (op : T.memop) =
         d
       | None -> Tables.read_block node ~addr:block ~len:(block_len state block)
     in
-    let wtbl = Hashtbl.create 8 in
-    List.iter (fun (a, v) -> Hashtbl.replace wtbl a v) written;
-    Tables.merge_block_data node ~addr:block ~written:wtbl data
+    Tables.merge_block_data node ~addr:block ~written data
   | T.M_adopt { block; from } ->
     (* crash salvage: copy the block's bytes out of the dead node's
        frozen memory image (its pipeline never runs again, so the image

@@ -103,13 +103,14 @@ let read_block (node : Node.t) ~addr ~len =
 (* Merge reply data into memory, then overlay the longwords the node
    wrote while the block was pending (non-stalling stores, Section 4.1:
    "merge the reply data with the newly written data"). *)
-let merge_block_data (node : Node.t) ~addr ~(written : (int, int) Hashtbl.t)
+let merge_block_data (node : Node.t) ~addr ~(written : (int * int) list)
     (data : int array) =
-  Array.iteri
-    (fun k v ->
-      let a = addr + (4 * k) in
-      match Hashtbl.find_opt written a with
-      | Some mine -> Memory.write_long_u node.mem a mine
-      | None -> Memory.write_long_u node.mem a v)
-    data;
-  Cache.dinvalidate node.caches ~addr ~len:(4 * Array.length data)
+  let len = 4 * Array.length data in
+  for k = 0 to Array.length data - 1 do
+    Memory.write_long_u node.mem (addr + (4 * k)) data.(k)
+  done;
+  List.iter
+    (fun (a, mine) ->
+      if a >= addr && a < addr + len then Memory.write_long_u node.mem a mine)
+    written;
+  Cache.dinvalidate node.caches ~addr ~len

@@ -230,7 +230,8 @@ val invariants : cfg -> view -> string list
 val quiescent_invariants : cfg -> view -> string list
 
 (* Canonical string: equal strings <=> equal views (map-shape
-   independent).  Replay comparison and counterexamples. *)
+   independent).  Counterexample text; replay compares [encode]
+   bytes. *)
 val canon : view -> string
 
 (* Exact binary encoding into a visited-state key (see {!Key}): equal

@@ -5,8 +5,9 @@
    is pure and the recorded inputs carry every machine-derived value the
    core consumed (state-table bytes, stored longwords, batch iteration
    orders), folding [step] over the log from the initial view must
-   land on exactly the view the live run left behind — [canon]-equal,
-   not merely similar.  A divergence means the core consulted state
+   land on exactly the view the live run left behind — equal under
+   [encode], the model checker's exact binary state key, not merely
+   similar.  A divergence means the core consulted state
    outside its inputs, i.e. a hidden side channel: precisely the bug
    class the refactor is meant to exclude.
 
@@ -64,6 +65,12 @@ let replay (state : State.t) =
           if List.length !failures < 10 then
             failures := (!steps, errs) :: !failures)
     inputs;
+  let encoding v =
+    let b = Buffer.create 4096 in
+    T.encode b v;
+    Buffer.contents b
+  in
   { steps = !steps;
     invariant_failures = List.rev !failures;
-    mismatch = not (String.equal (T.canon !v) (T.canon state.State.proto)) }
+    mismatch =
+      not (String.equal (encoding !v) (encoding state.State.proto)) }

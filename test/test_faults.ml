@@ -304,6 +304,53 @@ let prop_tx_plan (seed, drop, dup, reorder, delay, now, flight, rto, max_retx) =
         | None -> not x.Network.duplicated
         | Some d -> x.Network.duplicated && d > arrival)
 
+(* --- the pure core over a recorded faulty run ------------------------
+
+   Record the sht test-size run at P=8 over [Network.standard] and fold
+   [Transitions.step] alone over its inputs: the result must be
+   [encode]-equal to the live run's final view (the fold is what replay,
+   the checker and the benchmark all run).  The fold's allocation is
+   pinned too: minor words per step are deterministic for a given build,
+   and the budget is the measured figure plus 20% headroom, so a change
+   that brings back per-update view copies fails here. *)
+let fold_words_per_step_budget = 139.0
+
+let t_fold_under_faults () =
+  let module T = Shasta_protocol.Transitions in
+  let prog = (Shasta_apps.Apps.find "sht").make Shasta_apps.Apps.Test in
+  let spec =
+    { (Api.default_spec prog) with
+      nprocs = 8;
+      net_faults = Some Network.standard }
+  in
+  let state, _, _ = Api.prepare spec in
+  state.State.record_inputs <- true;
+  let _ = Cluster.run_app state in
+  Alcotest.(check bool) "faults actually fired" true
+    ((Network.fault_stats state.State.net).Network.retxs > 0);
+  let inputs = List.rev state.State.inputs_rev in
+  let cfg = state.State.tcfg in
+  let w0 = Gc.minor_words () in
+  let v =
+    List.fold_left
+      (fun v (node, input) -> snd (T.step cfg v ~node input))
+      (T.init cfg) inputs
+  in
+  let words = Gc.minor_words () -. w0 in
+  let encoding v =
+    let b = Buffer.create 4096 in
+    T.encode b v;
+    Buffer.contents b
+  in
+  Alcotest.(check bool) "fold is encode-equal to the live view" true
+    (String.equal (encoding v) (encoding state.State.proto));
+  let steps = List.length inputs in
+  let per_step = words /. float_of_int steps in
+  if per_step > fold_words_per_step_budget then
+    Alcotest.fail
+      (Printf.sprintf "%.1f minor words per step over %d steps (budget %.0f)"
+         per_step steps fold_words_per_step_budget)
+
 let () =
   Alcotest.run "faults"
     [ ( "soak",
@@ -311,6 +358,9 @@ let () =
           (fun ((name, _, _) as g) ->
             Alcotest.test_case name `Slow (t_soak g))
           Support.golden_runs );
+      ( "fold",
+        [ Alcotest.test_case "sht P=8 standard faults: encode-equal, words/step"
+            `Quick t_fold_under_faults ] );
       ( "counters",
         [ Alcotest.test_case "zero when off" `Quick t_counters_zero_when_off;
           Alcotest.test_case "registry matches wire" `Quick
